@@ -46,6 +46,7 @@ from .chebcore import (
 )
 from .errors import NumericalFailure
 from .moments import (
+    UNIT_WEIGHT,
     MomentTable,
     WeightKind,
     WeightSpec,
@@ -80,6 +81,7 @@ __all__ = [
     "ReducedForm",
     "TestFunction",
     "TestKind",
+    "UNIT_WEIGHT",
     "WeightKind",
     "WeightSpec",
     "abspow",

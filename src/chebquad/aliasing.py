@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .chebcore import Family, cheb_expansion_coeffs, chebyshev_T
-from .moments import WeightKind, WeightSpec, moments_for
+from .moments import WeightSpec, moments_for
 from .rules import QuadratureRule, apply, gauss_legendre, rule_for
 
 
@@ -219,18 +219,12 @@ def gauss_alias_error(n: int, m: int) -> AliasRecord:
     )
 
 
-def _single_errors(
-    family: Family, n: int, weight: WeightSpec, degrees: np.ndarray
-) -> np.ndarray:
-    """E_n[T_j] for every j in ``degrees`` via direct node sums."""
-    family = Family(family)
-    if family is Family.GAUSS_LEGENDRE:
-        rule = gauss_legendre(n)
+def _single_errors(rule: QuadratureRule, degrees: np.ndarray) -> np.ndarray:
+    """E_n[T_j] of the rule for every j in ``degrees`` via direct node sums."""
+    if rule.family is Family.GAUSS_LEGENDRE:
         exact = np.array([_legendre_exact(int(d)) for d in degrees])
     else:
-        rule = rule_for(family, n, weight)
-        table = moments_for(weight, int(degrees.max()))
-        exact = table.values[degrees]
+        exact = moments_for(rule.weight, int(degrees.max())).values[degrees]
     theta = np.arccos(np.clip(rule.nodes, -1.0, 1.0))
     node_vals = np.cos(np.outer(degrees, theta))
     return exact - node_vals @ rule.weights
@@ -253,15 +247,8 @@ def error_series_check(
     as the truncation grows whenever the coefficients are absolutely
     summable.
     """
-    family = Family(family)
-    if family is Family.GAUSS_LEGENDRE:
-        if weight.kind is not WeightKind.JACOBI or weight.alpha or weight.beta:
-            raise ValueError("Gauss-Legendre series check needs the unit weight")
-        rule = gauss_legendre(n)
-        start = 2 * n
-    else:
-        rule = rule_for(family, n, weight)
-        start = n
+    rule = rule_for(family, n, weight)
+    start = 2 * n if rule.family is Family.GAUSS_LEGENDRE else n
     if truncation < start:
         raise ValueError(
             f"truncation {truncation} is below the series start {start}"
@@ -275,5 +262,5 @@ def error_series_check(
     oversample = max(4 * count, 4096)
     coeffs = cheb_expansion_coeffs(f, count, oversample).coeffs
     degrees = np.arange(start, truncation + 1)
-    series = float(coeffs[degrees] @ _single_errors(family, n, weight, degrees))
+    series = float(coeffs[degrees] @ _single_errors(rule, degrees))
     return abs(measured - series)

@@ -25,11 +25,10 @@ from typing import Callable, Optional, Sequence
 
 import mpmath as mp
 import numpy as np
-from scipy.signal import argrelmax
 
 from .chebcore import Family
 from .errors import NumericalFailure
-from .moments import WeightKind, WeightSpec, min_bar, moments_for
+from .moments import UNIT_WEIGHT, WeightKind, WeightSpec, min_bar, moments_for
 from .rules import apply, gauss_legendre, rule_for, weight_abs_sum
 
 __all__ = [
@@ -346,7 +345,7 @@ def theoretical_rate(family: Family, weight: WeightSpec, s: float) -> tuple[floa
     if s <= 0:
         raise ValueError(f"exponent must be positive, got {s}")
     if family is Family.GAUSS_LEGENDRE:
-        if weight.kind is not WeightKind.JACOBI or weight.alpha or weight.beta:
+        if weight != UNIT_WEIGHT:
             raise ValueError("Gauss-Legendre rate theory covers the unit weight only")
         if s < 1.0:
             return -2.0 * s, False
@@ -393,6 +392,16 @@ def fit_slope(
     return float(slope), r_squared
 
 
+def _strict_peaks(y: np.ndarray) -> np.ndarray:
+    """Indices i where y[i] exceeds y[i +- 1] and y[i +- 2], neighbour indices
+    clipped to the ends (so the ends are never peaks): argrelmax(y, order=2)."""
+    i = np.arange(len(y))
+    peak = np.ones(len(y), dtype=bool)
+    for k in (1, 2):
+        peak &= (y > np.take(y, i + k, mode="clip")) & (y > np.take(y, i - k, mode="clip"))
+    return np.flatnonzero(peak)
+
+
 def envelope_slope(
     ns: Sequence[int], errors: Sequence[float], window: tuple[int, int]
 ) -> tuple[float, float]:
@@ -416,7 +425,7 @@ def envelope_slope(
     keep = (ns >= lo) & (ns <= hi) & np.isfinite(errors) & (errors > 0.0)
     x = ns[keep]
     y = errors[keep]
-    (peaks,) = argrelmax(y, order=2)
+    peaks = _strict_peaks(y)
     if len(peaks) < 5:
         raise ValueError(
             f"need at least 5 envelope peaks in window {window}, got {len(peaks)}"
@@ -440,15 +449,6 @@ class ConvergenceReport:
     reference: float
     oracle_error: float
     fit: str = "ols"
-
-
-def _rule_error(family: Family, weight: WeightSpec, n: int, f: TestFunction,
-                reference: float) -> float:
-    if family is Family.GAUSS_LEGENDRE:
-        rule = gauss_legendre(n)
-    else:
-        rule = rule_for(family, n, weight)
-    return abs(reference - apply(rule, f))
 
 
 def convergence_study(
@@ -485,9 +485,9 @@ def convergence_study(
     if fit not in ("ols", "envelope"):
         raise ValueError(f"fit must be 'ols' or 'envelope', got {fit!r}")
 
-    reference, est = oracle_integral(weight, f)
     theoretical_slope, log_factor = theoretical_rate(family, weight, f.s)
-    errors = tuple(_rule_error(family, weight, n, f, reference) for n in ns)
+    reference, est = oracle_integral(weight, f)
+    errors = tuple(abs(reference - apply(rule_for(family, n, weight), f)) for n in ns)
 
     if fit_window is None:
         fit_window = (max(100, ns[0]), ns[-1])
@@ -531,16 +531,10 @@ def weight_sum_study(
     <= 0 throughout), so integral |w| is |M_0| resp. |G_0| and the
     interpolatory weight sums must converge to it.
     """
-    family = Family(family)
     target = abs(moments_for(weight, 0).values[0])
     rows = []
-    for n in ns:
-        n = int(n)
-        if family is Family.GAUSS_LEGENDRE:
-            rule = gauss_legendre(n)
-        else:
-            rule = rule_for(family, n, weight)
-        total = weight_abs_sum(rule)
+    for n in map(int, ns):
+        total = weight_abs_sum(rule_for(family, n, weight))
         rows.append((n, total, total - target))
     return rows
 

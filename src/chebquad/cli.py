@@ -13,6 +13,7 @@ ran cleanly but its fitted slope missed the theoretical rate.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -28,7 +29,7 @@ from .analysis import (
 )
 from .chebcore import Family
 from .errors import NumericalFailure
-from .moments import WeightKind, WeightSpec, moments_for
+from .moments import UNIT_WEIGHT, WeightKind, WeightSpec, moments_for
 from .rules import apply as apply_rule
 from .rules import rule_for
 
@@ -126,6 +127,7 @@ def _weight_tag(weight: WeightSpec) -> str:
     return f"{weight.kind.value}:{weight.alpha:g}:{weight.beta:g}"
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="quad", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -137,7 +139,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--family", required=True, type=_parse_family)
         if weight:
             p.add_argument("--weight", type=_parse_weight,
-                           default=WeightSpec(WeightKind.JACOBI, 0.0, 0.0),
+                           default=UNIT_WEIGHT,
                            help="jacobi:A:B or logjacobi:A:B (default jacobi:0:0)")
         if f:
             p.add_argument("--f", required=True, type=_parse_function,
@@ -227,14 +229,11 @@ def _cmd_alias_table(args):
     m_max = 3 * args.n if args.m_max is None else args.m_max
     if m_max < 0:
         raise _UsageError(f"m-max must be nonnegative, got {m_max}")
-    records = []
-    for m in range(m_max + 1):
-        if args.family is Family.GAUSS_LEGENDRE:
-            if args.weight != WeightSpec(WeightKind.JACOBI, 0.0, 0.0):
-                raise _UsageError("the Gauss-Legendre alias table uses the unit weight")
-            records.append(gauss_alias_error(args.n, m))
-        else:
-            records.append(alias_error(args.family, args.n, m, args.weight))
+    rule_for(args.family, args.n, args.weight)  # rejects a weight the family cannot take
+    if args.family is Family.GAUSS_LEGENDRE:
+        records = [gauss_alias_error(args.n, m) for m in range(m_max + 1)]
+    else:
+        records = [alias_error(args.family, args.n, m, args.weight) for m in range(m_max + 1)]
     comments = [
         f"family={args.family.value} n={args.n} weight={_weight_tag(args.weight)}"
     ]

@@ -31,6 +31,7 @@ from .special import digamma, gamma, phi_combo
 __all__ = [
     "WeightKind",
     "WeightSpec",
+    "UNIT_WEIGHT",
     "MomentTable",
     "jacobi_moments",
     "log_jacobi_moments",
@@ -81,7 +82,10 @@ class WeightSpec:
         return w
 
 
-@dataclass
+UNIT_WEIGHT = WeightSpec(WeightKind.JACOBI, 0.0, 0.0)
+
+
+@dataclass(frozen=True)
 class MomentTable:
     weight: WeightSpec
     K: int

@@ -22,7 +22,7 @@ import scipy.fft
 
 from .chebcore import CHEBYSHEV_FAMILIES, Family, _angles, make_points
 from .errors import NumericalFailure
-from .moments import MomentTable, WeightKind, WeightSpec, moments_for
+from .moments import UNIT_WEIGHT, MomentTable, WeightSpec, moments_for
 
 __all__ = [
     "QuadratureRule",
@@ -33,10 +33,8 @@ __all__ = [
     "weight_abs_sum",
 ]
 
-_GL_UNIT_WEIGHT = WeightSpec(WeightKind.JACOBI, 0.0, 0.0)
 
-
-@dataclass
+@dataclass(frozen=True)
 class QuadratureRule:
     family: Family
     n: int
@@ -140,7 +138,7 @@ def _gauss_legendre_cached(n: int) -> QuadratureRule:
     weights = np.concatenate((w, w[: n - half][::-1]))
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return QuadratureRule(Family.GAUSS_LEGENDRE, n, _GL_UNIT_WEIGHT, nodes, weights)
+    return QuadratureRule(Family.GAUSS_LEGENDRE, n, UNIT_WEIGHT, nodes, weights)
 
 
 def gauss_legendre(n: int) -> QuadratureRule:
@@ -156,11 +154,11 @@ def gauss_legendre(n: int) -> QuadratureRule:
 
 
 def rule_for(family: Family, n: int, weight: WeightSpec) -> QuadratureRule:
-    """Dispatch: Gauss-Legendre (requires the unit Jacobi weight) or a
-    weighted Chebyshev-point rule."""
+    """The rule for (family, n, weight): Gauss-Legendre, which accepts only
+    UNIT_WEIGHT, or a weighted Chebyshev-point rule."""
     family = Family(family)
     if family is Family.GAUSS_LEGENDRE:
-        if weight != _GL_UNIT_WEIGHT:
+        if weight != UNIT_WEIGHT:
             raise ValueError("Gauss-Legendre handles only the unit weight jacobi:0:0")
         return gauss_legendre(n)
     return build_weighted_rule(family, n, weight)

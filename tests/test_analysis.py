@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from chebquad import analysis
 from chebquad.analysis import (
+    _strict_peaks,
     abspow,
     convergence_study,
     custom,
@@ -157,6 +159,18 @@ def test_envelope_slope_needs_peaks():
         envelope_slope(ns, 2.0 * ns**-1.0, (100, 150))  # monotone: no interior maxima
 
 
+def test_strict_peaks_match_argrelmax():
+    from scipy.signal import argrelmax  # reference only; the package does not import it
+
+    rng = np.random.default_rng(20130822)
+    for length in range(40):
+        for _ in range(50):
+            y = rng.integers(0, 4, length).astype(float)  # small range: many ties
+            np.testing.assert_array_equal(_strict_peaks(y), argrelmax(y, order=2)[0])
+    plateaus = np.array([0.0, 1, 3, 3, 1, 0, 2, 5, 2, 0, 0, 4, 4, 4, 1, 0])
+    assert list(_strict_peaks(plateaus)) == list(argrelmax(plateaus, order=2)[0]) == [7]
+
+
 # --- convergence studies -------------------------------------------------------------
 
 
@@ -195,6 +209,19 @@ def test_weight_sum_study_gauss_is_flat():
     for n, total, dev in rows:
         assert total == pytest.approx(2.0, abs=1e-13)
         assert abs(dev) <= 1e-13
+
+
+def test_gauss_studies_reject_non_unit_weights(monkeypatch):
+    weight = WeightSpec(WeightKind.JACOBI, 0.5, 0.5)
+    with pytest.raises(ValueError):
+        weight_sum_study(Family.GAUSS_LEGENDRE, weight, [10])
+
+    def no_oracle(*args):
+        raise AssertionError("the oracle ran for a rejected weight")
+
+    monkeypatch.setattr(analysis, "_oracle", no_oracle)
+    with pytest.raises(ValueError):
+        convergence_study(Family.GAUSS_LEGENDRE, weight, abspow(0.3, 0.4), range(10, 20))
 
 
 def test_moment_decay_exponents():

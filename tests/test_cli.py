@@ -1,9 +1,21 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import chebquad
 import chebquad.cli as cli
 from chebquad.errors import NumericalFailure
+
+
+def run_fresh(*argv):
+    """Run the interpreter in a new process with the package importable."""
+    src = os.path.dirname(os.path.dirname(chebquad.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, *argv], capture_output=True, env=env, check=True)
 
 
 def run(capsys, *argv):
@@ -71,6 +83,9 @@ def test_usage_errors_exit_one(capsys):
                "--f", "abspow:0.5:0.6", "--n", "5:80")[0] == 1  # n below domain
     assert run(capsys, "alias-table", "--family", "gauss",
                "--weight", "jacobi:0.2:0", "--n", "8")[0] == 1
+    code, out, err = run(capsys, "weight-sums", "--family", "gauss",
+                         "--weight", "jacobi:0.5:0.5", "--n", "10:12")
+    assert code == 1 and out == "" and "unit weight" in err
     code, _, err = run(capsys, "integrate", "--family", "cc",
                        "--weight", "jacobi:0:0", "--f", "sin:0:1", "--n", "8")
     assert code == 1 and "grammar" in err
@@ -95,6 +110,21 @@ def test_identical_invocations_are_byte_identical(capsys):
     _, second, _ = run(capsys, *args)
     assert first == second
     assert first.startswith("#")
+
+
+def test_usage_error_leaves_the_parser_reusable(capsys):
+    args = ("nodes", "--family", "cc", "--weight", "logjacobi:-0.3:0.2", "--n", "9")
+    clean = run_fresh("-m", "chebquad.cli", *args).stdout.decode()
+    assert run(capsys, "nodes", "--family", "cc", "--n", "nine")[0] == 1
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert out == clean
+
+
+def test_import_leaves_out_scipy_signal_and_stats():
+    probe = ("import sys, chebquad.cli; print(sorted(m for m in sys.modules"
+             " if m.startswith(('scipy.signal', 'scipy.stats'))))")
+    assert run_fresh("-c", probe).stdout.decode().strip() == "[]"
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

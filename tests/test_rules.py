@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -130,6 +131,14 @@ def test_weighted_rule_validation():
         build_weighted_rule(Family.GAUSS_LEGENDRE, 8, UNIT)
     with pytest.raises(ValueError):
         build_weighted_rule(Family.FEJER1, 1, JAC)
+
+
+def test_rules_and_moment_tables_are_frozen():
+    # cached instances are shared between callers
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rule_for(Family.FEJER1, 5, JAC).n = 6
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        moments_for(JAC, 8).values = np.zeros(9)
 
 
 def test_rule_for_dispatch():
