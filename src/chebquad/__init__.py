@@ -62,6 +62,7 @@ from .rules import (
     build_weighted_rule,
     gauss_legendre,
     rule_for,
+    rules_for,
     weight_abs_sum,
 )
 
@@ -112,6 +113,7 @@ __all__ = [
     "powplus",
     "reference_integral",
     "rule_for",
+    "rules_for",
     "theoretical_rate",
     "weight_abs_sum",
     "weight_sum_study",

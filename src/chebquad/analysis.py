@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -29,7 +30,7 @@ import numpy as np
 from .chebcore import Family
 from .errors import NumericalFailure
 from .moments import UNIT_WEIGHT, WeightKind, WeightSpec, min_bar, moments_for
-from .rules import apply, gauss_legendre, rule_for, weight_abs_sum
+from .rules import apply, rules_for, weight_abs_sum
 
 __all__ = [
     "TestKind",
@@ -475,7 +476,7 @@ def convergence_study(
     """
     family = Family(family)
     f = _as_test_function(f)
-    ns = tuple(int(n) for n in ns)
+    ns = tuple(map(operator.index, ns))
     if any(b <= a for a, b in zip(ns, ns[1:])) or not ns:
         raise ValueError("ns must be strictly increasing and nonempty")
     if ns[0] < 10 or ns[-1] > 5000:
@@ -487,7 +488,7 @@ def convergence_study(
 
     theoretical_slope, log_factor = theoretical_rate(family, weight, f.s)
     reference, est = oracle_integral(weight, f)
-    errors = tuple(abs(reference - apply(rule_for(family, n, weight), f)) for n in ns)
+    errors = tuple(abs(reference - apply(rule, f)) for rule in rules_for(family, ns, weight))
 
     if fit_window is None:
         fit_window = (max(100, ns[0]), ns[-1])
@@ -533,9 +534,9 @@ def weight_sum_study(
     """
     target = abs(moments_for(weight, 0).values[0])
     rows = []
-    for n in map(int, ns):
-        total = weight_abs_sum(rule_for(family, n, weight))
-        rows.append((n, total, total - target))
+    for rule in rules_for(family, ns, weight):
+        total = weight_abs_sum(rule)
+        rows.append((rule.n, total, total - target))
     return rows
 
 
@@ -600,15 +601,16 @@ def gauss_open_problem_study(
         raise ValueError("the open-problem experiment uses Jacobi weights")
     if f.kind is TestKind.CUSTOM:
         raise ValueError("the open-problem experiment needs an X^s test function")
-    ns = tuple(int(n) for n in ns)
+    ns = tuple(map(operator.index, ns))
     reference, _ = oracle_integral(weight, f)
-    gj, gl, cc = [], [], []
+    gj = []
     for n in ns:
         x, w = scipy.special.roots_jacobi(n, weight.alpha, weight.beta)
         gj.append(abs(reference - math.fsum(w * f(x))))
-        rule = gauss_legendre(n)
-        gl.append(abs(reference - math.fsum(rule.weights * weight(rule.nodes) * f(rule.nodes))))
-        cc.append(abs(reference - apply(rule_for(Family.CLENSHAW_CURTIS, n, weight), f)))
+    gl = [abs(reference - math.fsum(rule.weights * weight(rule.nodes) * f(rule.nodes)))
+          for rule in rules_for(Family.GAUSS_LEGENDRE, ns, UNIT_WEIGHT)]
+    cc = [abs(reference - apply(rule, f))
+          for rule in rules_for(Family.CLENSHAW_CURTIS, ns, weight)]
     if fit_window is None:
         fit_window = (max(100, ns[0]), ns[-1])
     slopes = {}

@@ -58,7 +58,7 @@ class WeightKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Integrand weight: Jacobi or log-Jacobi with parameters alpha, beta > -1."""
+    """Integrand weight: Jacobi or log-Jacobi with finite parameters alpha, beta > -1."""
 
     kind: WeightKind
     alpha: float
@@ -68,6 +68,10 @@ class WeightSpec:
         object.__setattr__(self, "kind", WeightKind(self.kind))
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta", float(self.beta))
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValueError(
+                f"weight parameters must be finite, got alpha={self.alpha}, beta={self.beta}"
+            )
         if not (self.alpha > -1.0 and self.beta > -1.0):
             raise ValueError(
                 f"weight parameters must exceed -1, got alpha={self.alpha}, beta={self.beta}"

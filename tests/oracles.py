@@ -8,7 +8,10 @@ cross-check rather than the same code run twice.
 
 from __future__ import annotations
 
+import math
+
 import mpmath as mp
+import numpy as np
 
 # 60 working digits: the terminating sum below has alternating terms that can
 # exceed the result by ~4^k, so double precision would lose everything long
@@ -72,3 +75,47 @@ def quad_jacobi_moment(alpha: float, beta: float, k: int,
             return val
 
         return float(mp.quad(integrand, [-1, 0, 1]))
+
+
+def gauss_legendre_per_n(n: int):
+    """(nodes, weights) of the n-point Gauss-Legendre rule, built on its own.
+
+    The one-rule Newton builder the package used before it built the rules
+    of a sweep together, kept verbatim: the batched builder must reproduce
+    it bit for bit.
+    """
+
+    def legendre_pair(x):
+        p_prev = np.ones_like(x)
+        p = x.copy()
+        for j in range(2, n + 1):
+            p, p_prev = ((2.0 * j - 1.0) * x * p - (j - 1.0) * p_prev) / j, p
+        return p, p_prev
+
+    half = (n + 1) // 2
+    k = np.arange(1, half + 1, dtype=float)
+    phi = (4.0 * k - 1.0) * math.pi / (4.0 * n + 2.0)
+    theta = phi + np.cos(phi) / np.sin(phi) / (2.0 * (2.0 * n + 1.0) ** 2)
+    x = -np.cos(theta)
+    if n == 1:
+        x = np.zeros(1)
+    for _ in range(20):
+        p, p_prev = legendre_pair(x)
+        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        dx = p / dp
+        x -= dx
+        if np.max(np.abs(dx)) <= 1e-14:
+            break
+    else:
+        raise ArithmeticError(f"Newton iteration stalled at n={n}")
+    p, p_prev = legendre_pair(x)
+    dp = n * (x * p - p_prev) / (x * x - 1.0)
+    x -= p / dp
+    if n % 2 == 1:
+        x[-1] = 0.0
+    p, p_prev = legendre_pair(x)
+    dp = n * (x * p - p_prev) / (x * x - 1.0)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    nodes = np.concatenate((x, -x[: n - half][::-1]))
+    weights = np.concatenate((w, w[: n - half][::-1]))
+    return nodes, weights

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chebquad import analysis
+from chebquad import analysis, rules
 from chebquad.analysis import (
     _strict_peaks,
     abspow,
@@ -202,6 +202,19 @@ def test_convergence_study_validation():
         convergence_study(Family.FEJER1, UNIT, custom(np.exp), range(100, 301))
     with pytest.raises(ValueError):
         convergence_study(Family.FEJER1, UNIT, f, range(100, 301), fit="magic")
+    with pytest.raises(TypeError):  # n = 100.5 used to run as n = 100
+        convergence_study(Family.FEJER1, UNIT, f, [100.5, 150, 200, 250, 300])
+
+
+def test_gauss_sweeps_build_each_rule_once():
+    # criterion 6's three exponents over n = 10..500 ask for the same rules
+    rules._gauss_legendre_cached.cache_clear()
+    for s in (0.4, 1.45, 2.82):
+        report = convergence_study(Family.GAUSS_LEGENDRE, UNIT, abspow(0.3, s),
+                                   range(10, 501))
+        assert len(report.abs_errors) == 491
+    info = rules._gauss_legendre_cached.cache_info()
+    assert (info.misses, info.hits) == (491, 2 * 491)
 
 
 def test_weight_sum_study_gauss_is_flat():
@@ -209,6 +222,9 @@ def test_weight_sum_study_gauss_is_flat():
     for n, total, dev in rows:
         assert total == pytest.approx(2.0, abs=1e-13)
         assert abs(dev) <= 1e-13
+    assert [n for n, _, _ in rows] == [10, 40, 160]
+    with pytest.raises(TypeError):  # 10.7 used to give the row of n = 10
+        weight_sum_study(Family.CLENSHAW_CURTIS, UNIT, [10.7])
 
 
 def test_gauss_studies_reject_non_unit_weights(monkeypatch):

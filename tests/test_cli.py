@@ -86,6 +86,8 @@ def test_usage_errors_exit_one(capsys):
     code, out, err = run(capsys, "weight-sums", "--family", "gauss",
                          "--weight", "jacobi:0.5:0.5", "--n", "10:12")
     assert code == 1 and out == "" and "unit weight" in err
+    code, out, _ = run(capsys, "moments", "--weight", "jacobi:inf:0", "--K", "4")
+    assert code == 1 and out == ""
     code, _, err = run(capsys, "integrate", "--family", "cc",
                        "--weight", "jacobi:0:0", "--f", "sin:0:1", "--n", "8")
     assert code == 1 and "grammar" in err

@@ -221,6 +221,13 @@ def test_weight_spec_rejects_out_of_range_parameters():
         WeightSpec(WeightKind.JACOBI, -1.0, 0.0)
     with pytest.raises(ValueError):
         WeightSpec(WeightKind.LOGJACOBI, 0.0, -1.2)
+    # inf passes the > -1 test but gives all-NaN moments
+    with pytest.raises(ValueError, match="finite"):
+        WeightSpec(WeightKind.JACOBI, math.inf, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        WeightSpec(WeightKind.LOGJACOBI, 0.0, math.inf)
+    with pytest.raises(ValueError):
+        WeightSpec(WeightKind.JACOBI, math.nan, 0.0)
 
 
 def test_moments_for_dispatches_on_kind():

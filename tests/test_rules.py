@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 import scipy.special
 
+import oracles
+from chebquad import rules
 from chebquad.chebcore import CHEBYSHEV_FAMILIES, Family, chebyshev_T, interp_coeffs
+from chebquad.errors import NumericalFailure
 from chebquad.moments import WeightKind, WeightSpec, moments_for
 from chebquad.rules import (
     apply,
     build_weighted_rule,
     gauss_legendre,
     rule_for,
+    rules_for,
     weight_abs_sum,
 )
 
@@ -72,6 +76,74 @@ def test_gauss_input_validation():
         gauss_legendre(0)
     with pytest.raises(ValueError):
         rule_for(Family.GAUSS_LEGENDRE, 5, JAC)
+
+
+def test_rule_sizes_must_be_integers():
+    # operator.index semantics: 2.7 used to give a 2-point rule
+    with pytest.raises(TypeError):
+        gauss_legendre(2.7)
+    with pytest.raises(TypeError):
+        gauss_legendre(4.0)
+    with pytest.raises(TypeError):
+        build_weighted_rule(Family.FEJER1, 8.5, JAC)
+    with pytest.raises(TypeError):
+        rules_for(Family.GAUSS_LEGENDRE, [10, 2.7], UNIT)
+    with pytest.raises(TypeError):
+        rules_for(Family.CLENSHAW_CURTIS, [10, 11.0], JAC)
+    assert gauss_legendre(np.int64(7)) is gauss_legendre(7)
+    rule = build_weighted_rule(Family.FEJER1, np.int32(8), JAC)
+    assert rule.n == 8 and type(rule.n) is int
+    assert [r.n for r in rules_for(Family.FEJER2, np.arange(5, 8), JAC)] == [5, 6, 7]
+
+
+def _assert_per_n_bits(rule):
+    nodes, weights = oracles.gauss_legendre_per_n(rule.n)
+    assert np.array_equal(rule.nodes, nodes), rule.n
+    assert np.array_equal(rule.weights, weights), rule.n
+
+
+def test_gauss_batched_builder_is_bit_identical_to_one_rule_builds():
+    rules._gauss_legendre_cached.cache_clear()
+    ns = list(range(1, 201)) + list(range(222, 1001, 37)) + [1000]
+    built = list(rules_for(Family.GAUSS_LEGENDRE, ns, UNIT))
+    assert [r.n for r in built] == ns
+    for rule in built:
+        _assert_per_n_bits(rule)
+
+
+def test_gauss_batch_takes_unsorted_and_repeated_ns():
+    rules._gauss_legendre_cached.cache_clear()
+    ns = [97, 3, 500, 3, 1, 64, 97, 2]
+    built = list(rules_for(Family.GAUSS_LEGENDRE, ns, UNIT))
+    assert [r.n for r in built] == ns
+    assert built[1] is built[3] and built[0] is built[6]
+    for rule in built:
+        _assert_per_n_bits(rule)
+    info = rules._gauss_legendre_cached.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (6, 2, 97 + 3 + 500 + 1 + 64 + 2)
+    assert gauss_legendre(64) is built[5]
+    assert rules._gauss_legendre_cached.cache_info().hits == 3
+
+
+def test_gauss_store_is_bounded_in_points():
+    store = rules._GaussLegendreStore(max_points=100)
+    first = store.rules([60, 30])
+    store.rules([50])  # 140 points: the least recently used rule, n = 60, goes
+    assert store.cache_info() == (0, 3, 100, 80)
+    assert store.rules([30])[0] is first[1]
+    assert store.rules([60])[0] is not first[0]
+    assert store.cache_info() == (1, 4, 100, 90)  # n = 60 back, n = 50 out
+
+
+def test_gauss_newton_stall_names_the_rule(monkeypatch):
+    rules._gauss_legendre_cached.cache_clear()
+    monkeypatch.setattr(rules, "_NEWTON_STEPS", 1)
+    # n = 1 converges in its first step (dx = 0); n = 40 cannot
+    with pytest.raises(NumericalFailure, match=r"stalled at n=40$"):
+        list(rules_for(Family.GAUSS_LEGENDRE, [1, 40], UNIT))
+    with pytest.raises(NumericalFailure, match=r"stalled at n=40$"):
+        gauss_legendre(40)
+    assert rules._gauss_legendre_cached.cache_info().currsize == 0
 
 
 # --- weighted Chebyshev-point rules -----------------------------------------
@@ -144,6 +216,21 @@ def test_rules_and_moment_tables_are_frozen():
 def test_rule_for_dispatch():
     assert rule_for(Family.GAUSS_LEGENDRE, 5, UNIT).family is Family.GAUSS_LEGENDRE
     assert rule_for(Family.FEJER1, 5, JAC).family is Family.FEJER1
+
+
+def test_rules_for_checks_every_n_first_and_builds_chebyshev_rules_lazily():
+    with pytest.raises(ValueError):
+        rules_for(Family.FEJER1, [5, 1], JAC)
+    with pytest.raises(ValueError):
+        rules_for(Family.GAUSS_LEGENDRE, [5, 0], UNIT)
+    with pytest.raises(ValueError):
+        rules_for(Family.GAUSS_LEGENDRE, [5], JAC)
+    rules._weighted_rule_cached.cache_clear()
+    sweep = rules_for(Family.CLENSHAW_CURTIS, [5, 6, 7], JAC)
+    assert rules._weighted_rule_cached.cache_info().misses == 0
+    assert next(sweep).n == 5
+    assert rules._weighted_rule_cached.cache_info().misses == 1
+    assert [r.n for r in sweep] == [6, 7]
 
 
 # --- applying rules -----------------------------------------------------------
