@@ -35,13 +35,10 @@ from .analysis import (
 )
 from .chebcore import (
     CHEBYSHEV_FAMILIES,
-    ChebCoeffs,
     Family,
-    PointSet,
-    cheb_eval,
     cheb_expansion_coeffs,
     chebyshev_T,
-    interp_coeffs,
+    interp_weights,
     make_points,
 )
 from .errors import NumericalFailure
@@ -71,13 +68,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AliasRecord",
     "CHEBYSHEV_FAMILIES",
-    "ChebCoeffs",
     "ConvergenceReport",
     "Family",
     "MomentTable",
     "NumericalFailure",
     "OpenProblemReport",
-    "PointSet",
     "QuadratureRule",
     "ReducedForm",
     "TestFunction",
@@ -90,7 +85,6 @@ __all__ = [
     "alias_reduce",
     "apply",
     "build_weighted_rule",
-    "cheb_eval",
     "cheb_expansion_coeffs",
     "chebyshev_T",
     "convergence_study",
@@ -101,7 +95,7 @@ __all__ = [
     "gauss_alias_error",
     "gauss_legendre",
     "gauss_open_problem_study",
-    "interp_coeffs",
+    "interp_weights",
     "jacobi_moments",
     "log_jacobi_moments",
     "make_points",

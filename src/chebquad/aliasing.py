@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -65,11 +66,13 @@ class AliasRecord:
 def alias_reduce(family: Family, n: int, m: int) -> tuple[int, int, int]:
     """Canonical reduction of degree m on an n-point Chebyshev family.
 
-    Returns (p, j, sign) with m = 2pK +/- j for the family modulus
-    2K (K = n for Fejer-1, n+1 for Fejer-2, n-1 for Clenshaw-Curtis),
-    0 <= j <= K, and sign such that the rule value on T_m equals
-    sign times the rule value on T_j -- sign is (-1)^p for Fejer-1 and
-    +1 otherwise, since T_{2pK +/- j} = T_j on the latter two node sets.
+    n and m are integers (operator.index), n >= 1 (n >= 2 for
+    Clenshaw-Curtis) and m >= 0.  Returns (p, j, sign) with m = 2pK +/- j
+    for the family modulus 2K (K = n for Fejer-1, n+1 for Fejer-2, n-1
+    for Clenshaw-Curtis), 0 <= j <= K, and sign such that the rule value
+    on T_m equals sign times the rule value on T_j -- sign is (-1)^p for
+    Fejer-1 and +1 otherwise, since T_{2pK +/- j} = T_j on the latter two
+    node sets.
     """
     p, j, sign, _ = _reduce(family, n, m)
     return p, j, sign
@@ -77,6 +80,7 @@ def alias_reduce(family: Family, n: int, m: int) -> tuple[int, int, int]:
 
 def _reduce(family: Family, n: int, m: int) -> tuple[int, int, int, ReducedForm]:
     family = Family(family)
+    n, m = operator.index(n), operator.index(m)
     if m < 0:
         raise ValueError(f"degree must be nonnegative, got {m}")
     if family is Family.FEJER1:
@@ -89,6 +93,8 @@ def _reduce(family: Family, n: int, m: int) -> tuple[int, int, int, ReducedForm]
         half = n - 1
     else:
         raise ValueError(f"alias_reduce covers Chebyshev families only, got {family}")
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     modulus = 2 * half
     q = m % modulus
     if q <= half:
@@ -260,7 +266,7 @@ def error_series_check(
 
     count = truncation + 1
     oversample = max(4 * count, 4096)
-    coeffs = cheb_expansion_coeffs(f, count, oversample).coeffs
+    coeffs = cheb_expansion_coeffs(f, count, oversample)
     degrees = np.arange(start, truncation + 1)
     series = float(coeffs[degrees] @ _single_errors(rule, degrees))
     return abs(measured - series)

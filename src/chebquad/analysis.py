@@ -86,6 +86,8 @@ class TestFunction:
             if self.fn is None:
                 raise ValueError("custom test functions need a callable")
             return
+        if not (math.isfinite(self.c) and math.isfinite(self.s)):
+            raise ValueError(f"parameters must be finite, got c={self.c}, s={self.s}")
         if not -1.0 < self.c < 1.0:
             raise ValueError(f"kink must sit inside (-1, 1), got {self.c}")
         if self.s <= 0:

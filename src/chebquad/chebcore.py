@@ -1,21 +1,26 @@
-"""Chebyshev point sets, polynomial evaluation, and interpolation coefficients.
+"""Chebyshev point sets and the transforms that turn moments into rule weights.
 
-The three point families and the transforms that map samples taken on them
-to coefficients in the Chebyshev T basis:
+The three point families:
 
 * Fejer-1: zeros of T_n,   y_j = cos((2j-1)pi/(2n)),  j = 1..n
 * Fejer-2: zeros of U_n,   x_j = cos(j pi/(n+1)),     j = 1..n
 * Clenshaw-Curtis: extrema of T_{n-1} including the endpoints,
   xbar_j = cos(j pi/(n-1)), j = 0..n-1  (requires n >= 2)
 
-Interpolation coefficients b_j (plain sum, q(x) = sum b_j T_j(x)) are
-computed by the DCT/DST variant matching each grid, with an O(n^2) direct
-summation fallback for cross-checking.  Expansion coefficients a_j follow
-the primed convention (first term halved): f = a_0/2 + sum_{j>=1} a_j T_j.
+On each grid the interpolatory rule satisfies
+
+    sum_i w_i f(x_i) = sum_j b_j(f) m_j,
+
+with b_j the coefficients (plain sum, q = sum b_j T_j) of the polynomial
+interpolating f on the grid and m_j the modified moments.  interp_weights
+gives the w_i: the transpose of the coefficient transform applied to m,
+realized by the DCT/DST that matches the grid.  Expansion coefficients
+a_j follow the primed convention (first term halved):
+f = a_0/2 + sum_{j>=1} a_j T_j.
 """
 
 import enum
-from dataclasses import dataclass, field
+import operator
 
 import numpy as np
 import scipy.fft
@@ -23,13 +28,10 @@ import scipy.fft
 __all__ = [
     "Family",
     "CHEBYSHEV_FAMILIES",
-    "PointSet",
-    "ChebCoeffs",
     "chebyshev_T",
     "make_points",
-    "interp_coeffs",
+    "interp_weights",
     "cheb_expansion_coeffs",
-    "cheb_eval",
 ]
 
 
@@ -43,28 +45,6 @@ class Family(str, enum.Enum):
 
 
 CHEBYSHEV_FAMILIES = (Family.FEJER1, Family.FEJER2, Family.CLENSHAW_CURTIS)
-
-
-@dataclass
-class PointSet:
-    family: Family
-    n: int
-    points: np.ndarray = field(repr=False)
-
-
-@dataclass
-class ChebCoeffs:
-    """Coefficients c_0..c_{n-1} in the T basis.
-
-    ``primed`` records the sum convention: False means q = sum c_j T_j,
-    True means the first term is halved (q = c_0/2 + sum_{j>=1} c_j T_j).
-    """
-
-    coeffs: np.ndarray = field(repr=False)
-    primed: bool = False
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
 
 
 def chebyshev_T(j: int, x):
@@ -82,34 +62,36 @@ def chebyshev_T(j: int, x):
     return float(vals) if np.isscalar(x) or arr.ndim == 0 else vals
 
 
+def _check_grid(family: Family, n: int) -> tuple[Family, int]:
+    """(family, n) of an n-point Chebyshev grid, n an integer (operator.index)."""
+    family = Family(family)
+    if family not in CHEBYSHEV_FAMILIES:
+        raise ValueError(f"Chebyshev point sets only, got {family}")
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    if family is Family.CLENSHAW_CURTIS and n < 2:
+        raise ValueError("Clenshaw-Curtis needs n >= 2")
+    return family, n
+
+
 def _angles(family: Family, n: int) -> np.ndarray:
     """Grid angles theta with points = cos(theta), in point order."""
     if family is Family.FEJER1:
         return (2.0 * np.arange(1, n + 1) - 1.0) * np.pi / (2.0 * n)
     if family is Family.FEJER2:
         return np.arange(1, n + 1) * np.pi / (n + 1.0)
-    if family is Family.CLENSHAW_CURTIS:
-        return np.arange(n) * np.pi / (n - 1.0)
-    raise ValueError(f"no Chebyshev angle grid for family {family}")
+    return np.arange(n) * np.pi / (n - 1.0)
 
 
-def make_points(family: Family, n: int) -> PointSet:
-    """Construct the point set for one of the three Chebyshev families.
+def make_points(family: Family, n: int) -> np.ndarray:
+    """The n points of a Chebyshev family, in decreasing order.
 
     Args:
         family: FEJER1, FEJER2 or CLENSHAW_CURTIS.
         n: number of points (n >= 1; Clenshaw-Curtis needs n >= 2).
-
-    Returns:
-        PointSet with points in the conventional (decreasing) order.
     """
-    family = Family(family)
-    if family not in CHEBYSHEV_FAMILIES:
-        raise ValueError(f"make_points supports Chebyshev families only, got {family}")
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if family is Family.CLENSHAW_CURTIS and n < 2:
-        raise ValueError("Clenshaw-Curtis needs n >= 2")
+    family, n = _check_grid(family, n)
     pts = np.cos(_angles(family, n))
     if family is Family.CLENSHAW_CURTIS:
         # pin the endpoints exactly
@@ -117,82 +99,50 @@ def make_points(family: Family, n: int) -> PointSet:
         pts[-1] = -1.0
         if n % 2 == 1:
             pts[(n - 1) // 2] = 0.0
-    return PointSet(family, n, pts)
+    return pts
 
 
-def _fejer2_u_to_t(c: np.ndarray) -> np.ndarray:
-    """Convert U-basis coefficients to T-basis via reversed parity cumsums.
-
-    Uses U_k = 2(T_k + T_{k-2} + ...) with T_0 counted once for even k.
-    """
-    n = len(c)
-    b = np.zeros(n)
+def _fejer2_moment_fold(m: np.ndarray) -> np.ndarray:
+    """Forward parity cumsums turning T-basis moments into U-basis moments:
+    ubar_k = integral of w U_k = 2(m_k + m_{k-2} + ...) with m_0 once."""
+    n = len(m)
+    u = np.zeros(n)
     for parity in (0, 1):
         idx = np.arange(parity, n, 2)
-        if len(idx):
-            b[idx] = 2.0 * np.cumsum(c[idx][::-1])[::-1]
-    b[0] *= 0.5
-    return b
+        u[idx] = 2.0 * np.cumsum(m[idx])
+    u[::2] -= m[0]
+    return u
 
 
-def interp_coeffs(family: Family, samples, method: str = "fft") -> ChebCoeffs:
-    """Interpolation coefficients b_j with sum_j b_j T_j matching the samples.
+def interp_weights(family: Family, m) -> np.ndarray:
+    """Weights of the interpolatory rule on make_points(family, len(m)).
 
     Args:
-        samples: f evaluated at make_points(family, n), in point order.
-        method: "fft" for the fast transform, "direct" for the O(n^2)
-            summation fallback (the two agree to ~1e-12; see tests).
+        family: FEJER1, FEJER2 or CLENSHAW_CURTIS.
+        m: modified moments m_0..m_{n-1}, m_j = integral of w T_j.
 
     Returns:
-        ChebCoeffs of length n, plain-sum convention.
+        w with sum_i w_i f(x_i) = sum_j b_j(f) m_j for every f, b_j(f)
+        being the coefficients of the polynomial interpolating f at the
+        points: a DCT-III of m (Fejer-1), a DCT-I (Clenshaw-Curtis), or a
+        DST-I of the U-basis moments times sin(theta) (Fejer-2).
     """
-    family = Family(family)
-    f = np.asarray(samples, dtype=float)
-    if f.ndim != 1 or len(f) == 0:
-        raise ValueError("samples must be a nonempty 1-D array")
-    n = len(f)
-    if family is Family.CLENSHAW_CURTIS and n < 2:
-        raise ValueError("Clenshaw-Curtis needs n >= 2")
-    if method not in ("fft", "direct"):
-        raise ValueError(f"unknown method {method!r}")
-
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 1:
+        raise ValueError("moments must be a 1-D array")
+    family, n = _check_grid(family, len(m))
     if family is Family.FEJER1:
-        if method == "fft":
-            b = scipy.fft.dct(f, type=2) / n
-            b[0] *= 0.5
-        else:
-            theta = _angles(family, n)
-            b = np.array([2.0 / n * np.sum(f * np.cos(j * theta)) for j in range(n)])
-            b[0] *= 0.5
-        return ChebCoeffs(b)
-
+        return scipy.fft.dct(m, type=3) / n
     if family is Family.CLENSHAW_CURTIS:
-        N = n - 1
-        scale = np.full(n, 1.0 / N)
-        scale[0] = scale[-1] = 0.5 / N
-        if method == "fft":
-            b = scipy.fft.dct(f, type=1) * scale
-        else:
-            theta = _angles(family, n)
-            eta = np.ones(n)
-            eta[0] = eta[-1] = 0.5
-            b = np.array([2.0 * np.sum(eta * f * np.cos(j * theta)) for j in range(n)]) * scale
-        return ChebCoeffs(b)
-
-    # Fejer-2: U-basis coefficients from a sine transform of f*sin(theta),
-    # then conversion to the T basis.
+        w = scipy.fft.dct(m, type=1) / (n - 1)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        return w
     theta = _angles(family, n)
-    g = f * np.sin(theta)
-    if method == "fft":
-        c = scipy.fft.dst(g, type=1) / (n + 1.0)
-    else:
-        c = np.array(
-            [2.0 / (n + 1.0) * np.sum(g * np.sin((k + 1) * theta)) for k in range(n)]
-        )
-    return ChebCoeffs(_fejer2_u_to_t(c))
+    return np.sin(theta) * scipy.fft.dst(_fejer2_moment_fold(m), type=1) / (n + 1.0)
 
 
-def cheb_expansion_coeffs(f, count: int, oversample: int) -> ChebCoeffs:
+def cheb_expansion_coeffs(f, count: int, oversample: int) -> np.ndarray:
     """Leading Chebyshev expansion coefficients a_0..a_{count-1} of f.
 
     Approximates a_j = (2/pi) * integral of f(x) T_j(x) / sqrt(1-x^2)
@@ -205,21 +155,6 @@ def cheb_expansion_coeffs(f, count: int, oversample: int) -> ChebCoeffs:
         raise ValueError("count must be positive")
     if oversample < 4 * count:
         raise ValueError(f"oversample must be >= 4*count = {4 * count}, got {oversample}")
-    pts = make_points(Family.FEJER1, oversample)
-    fv = np.asarray(f(pts.points), dtype=float)
+    fv = np.asarray(f(make_points(Family.FEJER1, oversample)), dtype=float)
     a = scipy.fft.dct(fv, type=2) / oversample
-    return ChebCoeffs(a[:count].copy(), primed=True)
-
-
-def cheb_eval(coeffs: ChebCoeffs, x):
-    """Evaluate a ChebCoeffs object at scalar or array x (trig form)."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    theta = np.arccos(np.clip(arr, -1.0, 1.0))
-    c = coeffs.coeffs
-    vals = np.zeros_like(arr)
-    for j in range(len(c)):
-        cj = c[j]
-        if j == 0 and coeffs.primed:
-            cj = 0.5 * cj
-        vals += cj * np.cos(j * theta)
-    return float(vals[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else vals
+    return a[:count].copy()

@@ -190,19 +190,16 @@ def _build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_nodes(args):
+def _cmd_rule(args):
+    """nodes prints x and w, weights prints w alone."""
     rule = rule_for(args.family, args.n, args.weight)
     comments = [f"family={rule.family.value} n={rule.n} weight={_weight_tag(args.weight)}"]
-    rows = [(str(j), _fmt(x), _fmt(w))
-            for j, (x, w) in enumerate(zip(rule.nodes, rule.weights))]
-    return comments, ("j", "x", "w"), rows, False
-
-
-def _cmd_weights(args):
-    rule = rule_for(args.family, args.n, args.weight)
-    comments = [f"family={rule.family.value} n={rule.n} weight={_weight_tag(args.weight)}"]
-    rows = [(str(j), _fmt(w)) for j, w in enumerate(rule.weights)]
-    return comments, ("j", "w"), rows, False
+    if args.command == "nodes":
+        header, columns = ("j", "x", "w"), (rule.nodes, rule.weights)
+    else:
+        header, columns = ("j", "w"), (rule.weights,)
+    rows = [(str(j), *map(_fmt, values)) for j, values in enumerate(zip(*columns))]
+    return comments, header, rows, False
 
 
 def _cmd_moments(args):
@@ -300,8 +297,8 @@ def _cmd_gauss_open_problem(args):
 
 
 _COMMANDS = {
-    "nodes": _cmd_nodes,
-    "weights": _cmd_weights,
+    "nodes": _cmd_rule,
+    "weights": _cmd_rule,
     "moments": _cmd_moments,
     "integrate": _cmd_integrate,
     "alias-table": _cmd_alias_table,

@@ -20,13 +20,14 @@ seed value on the left and the large-k asymptotic value on the right.
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
 from .special import beta as beta_fn
-from .special import digamma, gamma, phi_combo
+from .special import digamma, phi_combo
 
 __all__ = [
     "WeightKind",
@@ -133,10 +134,10 @@ def _jacobi_asym(alpha: float, beta: float, k) -> float:
     """Leading large-k asymptotic of M_k, both endpoint contributions."""
     k = np.asarray(k, dtype=float)
     sgn = np.where(np.asarray(np.mod(k, 2)) == 0, -1.0, 1.0)  # (-1)^(k+1)
-    term_right = -(2.0 ** (beta - alpha)) * math.cos(math.pi * alpha) * gamma(
+    term_right = -(2.0 ** (beta - alpha)) * math.cos(math.pi * alpha) * math.gamma(
         2.0 * alpha + 2.0
     ) * k ** (-2.0 - 2.0 * alpha)
-    term_left = sgn * 2.0 ** (alpha - beta) * math.cos(math.pi * beta) * gamma(
+    term_left = sgn * 2.0 ** (alpha - beta) * math.cos(math.pi * beta) * math.gamma(
         2.0 * beta + 2.0
     ) * k ** (-2.0 - 2.0 * beta)
     return term_right + term_left
@@ -156,9 +157,10 @@ def _log_jacobi_asym(alpha: float, beta: float, k) -> float:
         -np.log(2.0 * k) + digamma(2.0 * beta + 2.0)
     ) - 0.5 * math.pi * math.sin(math.pi * beta)
     term_left = (
-        sgn * 2.0 ** (alpha - beta + 1.0) * gamma(2.0 * beta + 2.0) * k ** (-2.0 - 2.0 * beta) * bracket
+        sgn * 2.0 ** (alpha - beta + 1.0) * math.gamma(2.0 * beta + 2.0)
+        * k ** (-2.0 - 2.0 * beta) * bracket
     )
-    term_right = -(2.0 ** (beta - alpha - 2.0)) * math.cos(math.pi * alpha) * gamma(
+    term_right = -(2.0 ** (beta - alpha - 2.0)) * math.cos(math.pi * alpha) * math.gamma(
         2.0 * alpha + 4.0
     ) * k ** (-4.0 - 2.0 * alpha)
     return term_left + term_right
@@ -289,15 +291,6 @@ def _log_values(alpha: float, beta: float, K: int) -> tuple[np.ndarray, str, flo
     return v, "banded", est
 
 
-def _validate_params(alpha: float, beta: float, K: int) -> tuple[float, float, int]:
-    alpha, beta, K = float(alpha), float(beta), int(K)
-    if not (alpha > -1.0 and beta > -1.0):
-        raise ValueError(f"moment parameters must exceed -1, got {alpha}, {beta}")
-    if K < 0:
-        raise ValueError(f"K must be nonnegative, got {K}")
-    return alpha, beta, K
-
-
 def _bucket(K: int) -> int:
     """Round K up to a power of two so nearby requests share one cached solve."""
     b = 64
@@ -307,39 +300,36 @@ def _bucket(K: int) -> int:
 
 
 def jacobi_moments(alpha: float, beta: float, K: int) -> MomentTable:
-    """Moments M_0..M_K of T_k against the Jacobi weight (1-x)^alpha (1+x)^beta.
+    """Moments M_0..M_K of T_k against the Jacobi weight (1-x)^alpha (1+x)^beta:
+    moments_for with a Jacobi WeightSpec."""
+    return moments_for(WeightSpec(WeightKind.JACOBI, alpha, beta), K)
+
+
+def log_jacobi_moments(alpha: float, beta: float, K: int) -> MomentTable:
+    """Moments G_0..G_K of T_k against ln((x+1)/2) (1-x)^alpha (1+x)^beta:
+    moments_for with a log-Jacobi WeightSpec.
+
+    The inhomogeneous recurrence consumes Jacobi moments computed in the
+    same run, so the two error budgets stay coupled.
+    """
+    return moments_for(WeightSpec(WeightKind.LOGJACOBI, alpha, beta), K)
+
+
+def moments_for(weight: WeightSpec, K: int) -> MomentTable:
+    """Moments of T_0..T_K against the weight (M_k, or G_k for log-Jacobi).
 
     Args:
-        alpha, beta: weight exponents, each > -1.
-        K: largest moment index (>= 1).
+        weight: Jacobi or log-Jacobi weight specification.
+        K: largest moment index, an integer (operator.index) K >= 0.
 
     Returns:
         MomentTable whose ``method`` records whether the forward recurrence
         or the banded boundary-value solve produced the values, and whose
         ``est_rel_error`` is a residual-based consistency estimate.
     """
-    alpha, beta, K = _validate_params(alpha, beta, K)
-    values, method, est = _jacobi_values(alpha, beta, _bucket(K))
-    return MomentTable(
-        WeightSpec(WeightKind.JACOBI, alpha, beta), K, values[: K + 1], method, est
-    )
-
-
-def log_jacobi_moments(alpha: float, beta: float, K: int) -> MomentTable:
-    """Moments G_0..G_K of T_k against ln((x+1)/2) (1-x)^alpha (1+x)^beta.
-
-    The inhomogeneous recurrence consumes Jacobi moments computed in the
-    same run, so the two error budgets stay coupled.
-    """
-    alpha, beta, K = _validate_params(alpha, beta, K)
-    values, method, est = _log_values(alpha, beta, _bucket(K))
-    return MomentTable(
-        WeightSpec(WeightKind.LOGJACOBI, alpha, beta), K, values[: K + 1], method, est
-    )
-
-
-def moments_for(weight: WeightSpec, K: int) -> MomentTable:
-    """Dispatch to jacobi_moments or log_jacobi_moments by weight kind."""
-    if weight.kind is WeightKind.JACOBI:
-        return jacobi_moments(weight.alpha, weight.beta, K)
-    return log_jacobi_moments(weight.alpha, weight.beta, K)
+    K = operator.index(K)
+    if K < 0:
+        raise ValueError(f"K must be nonnegative, got {K}")
+    values_of = _jacobi_values if weight.kind is WeightKind.JACOBI else _log_values
+    values, method, est = values_of(weight.alpha, weight.beta, _bucket(K))
+    return MomentTable(weight, K, values[: K + 1], method, est)

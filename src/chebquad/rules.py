@@ -6,9 +6,8 @@ log-Jacobi weight) come from the identity
     I_n[f] = sum_j b_j(f) m_j = sum_i w_i f(x_i),
 
 where b_j are the interpolation coefficients of f on the point set and
-m_j the modified moments; the explicit weights w_i are the transpose of
-the coefficient transform applied to the moment vector, realized through
-the matching DCT/DST.  They are built one rule at a time.
+m_j the modified moments; chebcore.interp_weights turns the moment
+vector into the explicit weights w_i.  They are built one rule at a time.
 
 Gauss-Legendre (w == 1) uses Newton iteration on the recurrence-evaluated
 Legendre polynomial with asymptotic initial guesses.  One batched builder
@@ -37,11 +36,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
-import scipy.fft
 
-from .chebcore import CHEBYSHEV_FAMILIES, Family, _angles, make_points
+from .chebcore import CHEBYSHEV_FAMILIES, Family, interp_weights, make_points
 from .errors import NumericalFailure
-from .moments import UNIT_WEIGHT, MomentTable, WeightSpec, moments_for
+from .moments import UNIT_WEIGHT, WeightSpec, moments_for
 
 __all__ = [
     "QuadratureRule",
@@ -63,18 +61,6 @@ class QuadratureRule:
     weights: np.ndarray = field(repr=False)
 
 
-def _fejer2_moment_fold(m: np.ndarray) -> np.ndarray:
-    """Forward parity cumsums turning T-basis moments into U-basis moments:
-    ubar_k = integral of w U_k = 2(m_k + m_{k-2} + ...) with m_0 once."""
-    n = len(m)
-    u = np.zeros(n)
-    for parity in (0, 1):
-        idx = np.arange(parity, n, 2)
-        u[idx] = 2.0 * np.cumsum(m[idx])
-    u[::2] -= m[0]
-    return u
-
-
 def _as_ns(ns, least: int) -> list[int]:
     """ns as ints under operator.index (NumPy integers pass, 2.7 raises
     TypeError), each at least ``least``."""
@@ -88,23 +74,11 @@ def _as_ns(ns, least: int) -> list[int]:
 
 @functools.lru_cache(maxsize=512)
 def _weighted_rule_cached(family: Family, n: int, weight: WeightSpec) -> QuadratureRule:
-    table: MomentTable = moments_for(weight, n - 1)
-    m = np.asarray(table.values, dtype=float)
-    pts = make_points(family, n)
-    if family is Family.FEJER1:
-        w = scipy.fft.dct(m, type=3) / n
-    elif family is Family.CLENSHAW_CURTIS:
-        N = n - 1
-        w = scipy.fft.dct(m, type=1) / N
-        w[0] *= 0.5
-        w[-1] *= 0.5
-    else:  # Fejer-2
-        theta = _angles(family, n)
-        w = np.sin(theta) * scipy.fft.dst(_fejer2_moment_fold(m), type=1) / (n + 1.0)
-    w.setflags(write=False)
-    rule = QuadratureRule(family, n, weight, pts.points, w)
-    rule.nodes.setflags(write=False)
-    return rule
+    weights = interp_weights(family, moments_for(weight, n - 1).values)
+    nodes = make_points(family, n)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return QuadratureRule(family, n, weight, nodes, weights)
 
 
 def build_weighted_rule(family: Family, n: int, weight: WeightSpec) -> QuadratureRule:

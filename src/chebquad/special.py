@@ -6,7 +6,7 @@ so repeated runs produce bit-identical results.
 
 import math
 
-__all__ = ["log_gamma", "gamma", "digamma", "beta", "phi_combo"]
+__all__ = ["digamma", "beta", "phi_combo"]
 
 # Bernoulli-number coefficients B_{2n}/(2n) of the large-argument digamma
 # series, n = 1..6.  With the recurrence shift to x >= 10 the first
@@ -19,20 +19,6 @@ _DIGAMMA_TAIL = (
     1.0 / 132.0,
     -691.0 / 32760.0,
 )
-
-
-def log_gamma(x: float) -> float:
-    """Natural logarithm of the Gamma function for x > 0."""
-    if not x > 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
-
-
-def gamma(x: float) -> float:
-    """Gamma function for x > 0."""
-    if not x > 0.0:
-        raise ValueError(f"gamma requires x > 0, got {x!r}")
-    return math.gamma(x)
 
 
 def digamma(x: float) -> float:

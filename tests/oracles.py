@@ -119,3 +119,55 @@ def gauss_legendre_per_n(n: int):
     nodes = np.concatenate((x, -x[: n - half][::-1]))
     weights = np.concatenate((w, w[: n - half][::-1]))
     return nodes, weights
+
+
+def _grid_angles(family: str, n: int) -> np.ndarray:
+    """Angles theta of the n points cos(theta) of a Chebyshev family, in order."""
+    if family == "fejer1":
+        return (2.0 * np.arange(1, n + 1) - 1.0) * np.pi / (2.0 * n)
+    if family == "fejer2":
+        return np.arange(1, n + 1) * np.pi / (n + 1.0)
+    return np.arange(n) * np.pi / (n - 1.0)
+
+
+def interp_coeffs_direct(family: str, samples) -> np.ndarray:
+    """Coefficients b_0..b_{n-1} (plain sum, q = sum b_j T_j) of the polynomial
+    that interpolates ``samples`` at the n points of ``family``.
+
+    O(n^2) direct sums of each grid's discrete orthogonality relation, with
+    no fast transform: the independent side of the identity
+    sum_i w_i f(x_i) = sum_j b_j(f) m_j that the package's weights obey.
+    Fejer-2 goes through the U basis, U_k = 2(T_k + T_{k-2} + ...) with
+    T_0 counted once.
+    """
+    f = np.asarray(samples, dtype=float)
+    n = len(f)
+    theta = _grid_angles(family, n)
+    if family == "fejer1":
+        b = np.array([2.0 / n * np.sum(f * np.cos(j * theta)) for j in range(n)])
+        b[0] *= 0.5
+        return b
+    if family == "clenshaw-curtis":
+        eta = np.ones(n)
+        eta[0] = eta[-1] = 0.5
+        b = np.array([2.0 * np.sum(eta * f * np.cos(j * theta)) for j in range(n)])
+        return b * eta / (n - 1)
+    g = f * np.sin(theta)
+    c = np.array([2.0 / (n + 1.0) * np.sum(g * np.sin((k + 1) * theta)) for k in range(n)])
+    b = np.zeros(n)
+    for parity in (0, 1):
+        idx = np.arange(parity, n, 2)
+        b[idx] = 2.0 * np.cumsum(c[idx][::-1])[::-1]
+    b[0] *= 0.5
+    return b
+
+
+def cheb_eval(coeffs, x, primed: bool = False):
+    """sum_j c_j T_j(x) in trigonometric form, the first term halved if
+    ``primed``; x a scalar or an array in [-1, 1]."""
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    theta = np.arccos(np.clip(arr, -1.0, 1.0))
+    vals = np.zeros_like(arr)
+    for j, cj in enumerate(coeffs):
+        vals += (0.5 * cj if j == 0 and primed else cj) * np.cos(j * theta)
+    return float(vals[0]) if np.ndim(x) == 0 else vals

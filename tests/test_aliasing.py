@@ -43,6 +43,26 @@ def test_reduce_worked_examples():
     assert alias_reduce(Family.FEJER1, 7, 5) == (0, 5, 1)
 
 
+def test_reduce_validation():
+    # n = 0 raised ZeroDivisionError, n = -1 gave (-3, -1, -1.0) and
+    # n = 2.5 gave (1.0, 0.0, -1.0)
+    with pytest.raises(ValueError):
+        alias_reduce(Family.FEJER1, 0, 5)
+    with pytest.raises(ValueError):
+        alias_reduce(Family.FEJER1, -1, 5)
+    with pytest.raises(TypeError):
+        alias_reduce(Family.FEJER1, 2.5, 5)
+    with pytest.raises(TypeError):
+        alias_reduce(Family.FEJER2, 4, 5.0)
+    with pytest.raises(ValueError):
+        alias_reduce(Family.FEJER2, 4, -1)
+    with pytest.raises(ValueError):
+        alias_reduce(Family.CLENSHAW_CURTIS, 1, 5)
+    with pytest.raises(ValueError):
+        alias_reduce(Family.GAUSS_LEGENDRE, 4, 5)
+    assert alias_reduce(Family.FEJER1, np.int64(4), np.int64(8)) == (1, 0, -1)
+
+
 @given(
     family=st.sampled_from(CHEBYSHEV_FAMILIES),
     n=st.integers(min_value=2, max_value=40),
@@ -68,7 +88,7 @@ def test_reduction_preserves_node_values(family, n, m):
     from chebquad.chebcore import make_points
 
     p, j, sign = alias_reduce(family, n, m)
-    pts = make_points(family, n).points
+    pts = make_points(family, n)
     assert np.max(np.abs(chebyshev_T(m, pts) - sign * chebyshev_T(j, pts))) < 1e-11
 
 

@@ -73,6 +73,13 @@ def test_test_function_validation():
         abspow(0.3, -0.2)
     with pytest.raises(ValueError):
         abspow(0.3, 2.0)  # even integer: not actually singular
+    for bad in (math.nan, math.inf, -math.inf):  # used to pass for s
+        with pytest.raises(ValueError, match="finite"):
+            abspow(0.5, bad)
+        with pytest.raises(ValueError, match="finite"):
+            powplus(0.5, bad)
+        with pytest.raises(ValueError, match="finite"):
+            abspow(bad, 0.6)
 
 
 # --- rate table -----------------------------------------------------------------

@@ -91,6 +91,11 @@ def test_usage_errors_exit_one(capsys):
     code, _, err = run(capsys, "integrate", "--family", "cc",
                        "--weight", "jacobi:0:0", "--f", "sin:0:1", "--n", "8")
     assert code == 1 and "grammar" in err
+    for bad in ("abspow:0.5:nan", "abspow:0.5:inf"):  # nan was a math domain error
+        code, out, err = run(capsys, "convergence", "--family", "cc", "--f", bad,
+                             "--n", "10:40")
+        assert code == 1 and out == "" and err.startswith("usage:")
+        assert f"invalid _parse_function value: '{bad}'" in err
 
 
 def test_numerical_failure_exits_two(monkeypatch, capsys):

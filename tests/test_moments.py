@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from chebquad import moments
 from chebquad.moments import (
     WeightKind,
     WeightSpec,
@@ -242,6 +243,19 @@ def test_moment_table_validation():
         jacobi_moments(0.0, 0.0, -1)
     with pytest.raises(ValueError):
         jacobi_moments(-1.5, 0.0, 4)
+    with pytest.raises(TypeError):  # 2.7 used to give the K = 2 table
+        jacobi_moments(0.0, 0.0, 2.7)
+    with pytest.raises(TypeError):
+        moments_for(WeightSpec(WeightKind.LOGJACOBI, 0.0, 0.0), 4.0)
+    assert moments_for(WeightSpec(WeightKind.JACOBI, 0.0, 0.0), np.int64(3)).K == 3
+    # the weight is checked before any recurrence runs or any table is cached
+    before = moments._jacobi_values.cache_info()
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            jacobi_moments(bad, 0.0, 4)
+        with pytest.raises(ValueError, match="finite"):
+            log_jacobi_moments(0.0, bad, 4)
+    assert moments._jacobi_values.cache_info() == before
 
 
 def test_min_bar_half_integer_convention():

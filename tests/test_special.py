@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebquad.special import beta, digamma, gamma, log_gamma, phi_combo
+from chebquad.special import beta, digamma, phi_combo
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -41,25 +41,6 @@ def test_digamma_upward_recurrence(x):
 def test_digamma_rejects_poles(x):
     with pytest.raises(ValueError):
         digamma(x)
-
-
-def test_gamma_small_integers_and_half():
-    assert gamma(5.0) == 24.0
-    assert gamma(1.0) == 1.0
-    assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
-
-
-def test_log_gamma_consistency():
-    for x in (0.2, 1.5, 7.0, 30.0):
-        assert log_gamma(x) == pytest.approx(math.log(gamma(x)), rel=1e-14)
-
-
-@pytest.mark.parametrize("bad", [0.0, -2.0])
-def test_gamma_rejects_nonpositive(bad):
-    with pytest.raises(ValueError):
-        gamma(bad)
-    with pytest.raises(ValueError):
-        log_gamma(bad)
 
 
 def test_beta_known_values():
