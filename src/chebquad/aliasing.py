@@ -176,8 +176,10 @@ def gauss_alias_error(n: int, m: int) -> AliasRecord:
     (The sign pairing of the +-1 branches is fixed numerically; it is
     the mirror of the one a naive reading of the +- would give.)  Both
     predictions carry O(m/n^2) remainders.  Degrees m <= 2n-1 and odd m
-    have zero error and are flagged GAUSS_EXACT.
+    have zero error and are flagged GAUSS_EXACT.  n and m are integers
+    (operator.index).
     """
+    n, m = operator.index(n), operator.index(m)
     if m < 0:
         raise ValueError(f"degree must be nonnegative, got {m}")
     rule = gauss_legendre(n)

@@ -7,12 +7,13 @@ convergence-rate tables (interpolatory Chebyshev rules under Jacobi and
 log-Jacobi weights; Gauss-Legendre under the unit weight).
 
 The oracle computes every integral twice with structurally different
-methods -- adaptive double-exponential quadrature in 40-digit
-arithmetic, and composite 60-point Gauss-Legendre over dyadically
-graded panels in float64 -- and refuses to hand out a value when the
-two disagree.  Both methods integrate in distance-from-singularity
-coordinates, so neither endpoint algebra nor the interior kink suffers
-cancellation.
+methods and refuses to hand out a value when the two disagree: the
+primary route -- the two-term 2F1 closed form of the AbsPow / PowPlus
+integrals, or adaptive double-exponential quadrature for custom
+integrands, both in 40-digit arithmetic -- and composite 60-point
+Gauss-Legendre over dyadically graded panels in float64.  The panels
+and the quadrature integrate in distance-from-singularity coordinates,
+so neither endpoint algebra nor the interior kink suffers cancellation.
 """
 
 from __future__ import annotations
@@ -134,8 +135,9 @@ def _as_test_function(f) -> TestFunction:
 # ---------------------------------------------------------------------------
 # Reference oracle.
 #
-# The integral over [-1, 1] is assembled from regions, each parametrized
-# by the distance z to its own singular (or potentially singular) point:
+# The panels, and the quadrature of custom integrands, assemble the
+# integral over [-1, 1] from regions, each parametrized by the distance z
+# to its own singular (or potentially singular) point:
 #
 #   left   z = 1 + x        weight ~ z^beta (log z) near z = 0
 #   right  z = 1 - x        weight ~ z^alpha near z = 0
@@ -210,12 +212,10 @@ def _float_region(weight: WeightSpec, f: TestFunction, region: _Region) -> list[
         w = z ** weight.alpha * (2.0 - z) ** weight.beta
         if log_weight:
             w = w * np.log1p(-z / 2.0)
-        if f.kind is TestKind.ABS_POW:
-            fv = ((1.0 - c) - z) ** f.s
-        elif f.kind is TestKind.POW_PLUS:
-            fv = ((1.0 - c) - z) ** f.s
-        else:
+        if f.kind is TestKind.CUSTOM:
             fv = f(1.0 - z)
+        else:
+            fv = ((1.0 - c) - z) ** f.s
     else:
         one_minus = (1.0 - c) - region.kink_side * z
         one_plus = (1.0 + c) + region.kink_side * z
@@ -236,88 +236,77 @@ def _float_value(weight: WeightSpec, f: TestFunction) -> float:
     return math.fsum(terms)
 
 
-def _mp_region(weight: WeightSpec, f: TestFunction, region: _Region):
-    """One region integrated by double-exponential quadrature in mpf."""
-    alpha = mp.mpf(weight.alpha)
-    beta = mp.mpf(weight.beta)
-    s = mp.mpf(f.s)
-    c = mp.mpf(f.c if f.kind is not TestKind.CUSTOM else 0.0)
-    log_weight = weight.kind is WeightKind.LOGJACOBI
-    kind = f.kind
-    side = region.kink_side
+def _kink_piece(alpha, beta, c, s):
+    """integral of (1-x)^alpha (1+x)^beta (c-x)^s over (-1, c), in mpf.
 
-    if region.variable == "left":
-        def integrand(z):
-            if z <= 0:
-                return mp.mpf(0)
-            w = z ** beta * (2 - z) ** alpha
-            if log_weight:
-                w *= mp.log(z / 2)
-            if kind is TestKind.ABS_POW:
-                v = (1 + c) - z
-                fv = (v if v > 0 else mp.mpf(0)) ** s
-            else:
-                fv = mp.mpf(float(f.fn(float(z - 1))))
-            return w * fv
-    elif region.variable == "right":
-        def integrand(z):
-            if z <= 0:
-                return mp.mpf(0)
-            w = z ** alpha * (2 - z) ** beta
-            if log_weight:
-                w *= mp.log(1 - z / 2)
-            if kind is TestKind.CUSTOM:
-                fv = mp.mpf(float(f.fn(float(1 - z))))
-            else:
-                v = (1 - c) - z
-                fv = (v if v > 0 else mp.mpf(0)) ** s
-            return w * fv
-    else:
-        def integrand(z):
-            if z < 0:
-                return mp.mpf(0)
-            one_minus = (1 - c) - side * z
-            one_plus = (1 + c) + side * z
-            if one_minus <= 0 or one_plus <= 0:
-                return mp.mpf(0)
-            w = one_minus ** alpha * one_plus ** beta
-            if log_weight:
-                w *= mp.log(one_plus / 2)
-            if kind is TestKind.CUSTOM:
-                fv = mp.mpf(float(f.fn(float(c + side * z))))
-            else:
-                fv = z ** s
-            return w * fv
-
-    return mp.quad(integrand, [0, region.length], error=True)
+    x = -1 + (1+c) t turns it into an Euler integral: the Beta function
+    times 2F1(-alpha, beta+1; beta+s+2; (1+c)/2).
+    """
+    return ((1 + c) ** (s + beta + 1) * 2 ** alpha * mp.beta(beta + 1, s + 1)
+            * mp.hyp2f1(-alpha, beta + 1, beta + s + 2, (1 + c) / 2))
 
 
-def _mp_value(weight: WeightSpec, f: TestFunction) -> tuple[float, float]:
+def _kink_value(weight: WeightSpec, f: TestFunction) -> float:
+    """integral(w * f) for AbsPow / PowPlus in closed form, at 40 digits."""
     with mp.workdps(_ORACLE_DPS):
-        total = mp.mpf(0)
-        err = mp.mpf(0)
+        alpha, beta, c, s = map(mp.mpf, (weight.alpha, weight.beta, f.c, f.s))
+
+        def jacobi_value(beta):
+            right = _kink_piece(beta, alpha, -c, s)  # the mirror image x -> -x
+            if f.kind is TestKind.POW_PLUS:
+                return right
+            return _kink_piece(alpha, beta, c, s) + right
+
+        if weight.kind is WeightKind.JACOBI:
+            return float(jacobi_value(beta))
+        # ln((1+x)/2) (1+x)^beta = 2^beta d/dbeta [2^-beta (1+x)^beta]
+        return float(2 ** beta * mp.diff(lambda b: 2 ** -b * jacobi_value(b), beta))
+
+
+def _de_value(weight: WeightSpec, f: TestFunction) -> tuple[float, float]:
+    """integral(w * f) for a custom f and the summed error estimates, by
+    40-digit double-exponential quadrature region by region."""
+    with mp.workdps(_ORACLE_DPS):
+        alpha, beta = mp.mpf(weight.alpha), mp.mpf(weight.beta)
+        total = err = mp.mpf(0)
         for region in _regions_for(weight, f):
-            val, e = _mp_region(weight, f, region)
-            total += val
+            # x = x0 + dx * z; a custom f has its "kink" regions at 0.
+            x0, dx = {"left": (-1, 1), "right": (1, -1)}.get(
+                region.variable, (0, region.kink_side))
+
+            def integrand(z):
+                if z <= 0:
+                    return mp.mpf(0)
+                one_minus, one_plus = (1 - x0) - dx * z, (1 + x0) + dx * z
+                w = one_minus ** alpha * one_plus ** beta
+                if weight.kind is WeightKind.LOGJACOBI:
+                    w *= mp.log(one_plus / 2)
+                return w * mp.mpf(float(f.fn(float(x0 + dx * z))))
+
+            value, e = mp.quad(integrand, [0, region.length], error=True)
+            total += value
             err += abs(e)
         return float(total), float(err)
 
 
 @lru_cache(maxsize=512)
 def _oracle(weight: WeightSpec, f: TestFunction) -> tuple[float, float]:
-    de_value, de_err = _mp_value(weight, f)
+    if f.kind is TestKind.CUSTOM:
+        route, (value, route_err) = "double-exponential", _de_value(weight, f)
+    else:
+        route, value, route_err = "closed-form", _kink_value(weight, f), 0.0
     panel_value = _float_value(weight, f)
-    disagreement = abs(de_value - panel_value)
-    scale = max(1.0, abs(de_value))
+    disagreement = abs(value - panel_value)
+    scale = max(1.0, abs(value))
     if disagreement > _AGREEMENT_ABORT * scale:
         raise NumericalFailure(
             "reference oracle disagreement for "
             f"weight={weight}, f={f.describe()}: "
-            f"double-exponential {de_value!r} vs graded-panel {panel_value!r} "
+            f"{route} {value!r} vs graded-panel {panel_value!r} "
             f"(|diff| = {disagreement:.3e} > {_AGREEMENT_ABORT:g} * {scale:g})"
         )
-    est = max(disagreement, de_err, abs(de_value) * 1e-16, 1e-300)
-    return de_value, est
+    est = max(disagreement, route_err, abs(value) * 1e-16, 1e-300)
+    return value, est
 
 
 def oracle_integral(weight: WeightSpec, f) -> tuple[float, float]:

@@ -50,9 +50,10 @@ CHEBYSHEV_FAMILIES = (Family.FEJER1, Family.FEJER2, Family.CLENSHAW_CURTIS)
 def chebyshev_T(j: int, x):
     """T_j(x) = cos(j arccos x), evaluated trigonometrically.
 
-    Accepts a scalar or array ``x`` with |x| <= 1 (a 1e-14 slack is
-    clamped; anything beyond raises).
+    j is an integer (operator.index).  Accepts a scalar or array ``x``
+    with |x| <= 1 (a 1e-14 slack is clamped; anything beyond raises).
     """
+    j = operator.index(j)
     if j < 0:
         raise ValueError(f"degree must be nonnegative, got {j}")
     arr = np.asarray(x, dtype=float)

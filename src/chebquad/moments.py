@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from .errors import NumericalFailure
 from .special import beta as beta_fn
 from .special import digamma, phi_combo
 
@@ -120,12 +121,11 @@ def min_bar(alpha: float, beta: float) -> float:
     parameter takes over; when both sit at -1/2 every moment beyond the
     first is zero and the value 0 is returned as a placeholder.
     """
-    at_half = lambda x: x == -0.5  # noqa: E731 - local predicate
-    if at_half(alpha) and at_half(beta):
+    if alpha == -0.5 and beta == -0.5:
         return 0.0
-    if at_half(alpha):
+    if alpha == -0.5:
         return beta
-    if at_half(beta):
+    if beta == -0.5:
         return alpha
     return min(alpha, beta)
 
@@ -326,10 +326,16 @@ def moments_for(weight: WeightSpec, K: int) -> MomentTable:
         MomentTable whose ``method`` records whether the forward recurrence
         or the banded boundary-value solve produced the values, and whose
         ``est_rel_error`` is a residual-based consistency estimate.
+
+    Raises:
+        NumericalFailure: a seed or boundary value overflows float64.
     """
     K = operator.index(K)
     if K < 0:
         raise ValueError(f"K must be nonnegative, got {K}")
     values_of = _jacobi_values if weight.kind is WeightKind.JACOBI else _log_values
-    values, method, est = values_of(weight.alpha, weight.beta, _bucket(K))
+    try:
+        values, method, est = values_of(weight.alpha, weight.beta, _bucket(K))
+    except OverflowError as exc:
+        raise NumericalFailure(f"moments of weight={weight} overflow float64") from exc
     return MomentTable(weight, K, values[: K + 1], method, est)

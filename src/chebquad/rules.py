@@ -60,6 +60,10 @@ class QuadratureRule:
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
 
+    def __post_init__(self):
+        self.nodes.setflags(write=False)
+        self.weights.setflags(write=False)
+
 
 def _as_ns(ns, least: int) -> list[int]:
     """ns as ints under operator.index (NumPy integers pass, 2.7 raises
@@ -74,11 +78,8 @@ def _as_ns(ns, least: int) -> list[int]:
 
 @functools.lru_cache(maxsize=512)
 def _weighted_rule_cached(family: Family, n: int, weight: WeightSpec) -> QuadratureRule:
-    weights = interp_weights(family, moments_for(weight, n - 1).values)
-    nodes = make_points(family, n)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return QuadratureRule(family, n, weight, nodes, weights)
+    return QuadratureRule(family, n, weight, make_points(family, n),
+                          interp_weights(family, moments_for(weight, n - 1).values))
 
 
 def build_weighted_rule(family: Family, n: int, weight: WeightSpec) -> QuadratureRule:
@@ -123,22 +124,29 @@ def _initial_half_nodes(n: int) -> np.ndarray:
     return -np.cos(theta)
 
 
-def _legendre_pairs(x: np.ndarray, degree: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _legendre_pairs(x: np.ndarray, degree: np.ndarray) -> np.ndarray:
     """(P_n(x), P_{n-1}(x)) at packed nodes of degree n, which must not increase.
 
     Step j of the three-term recurrence updates only the prefix of nodes
     with n >= j, so each node takes exactly the steps of a one-rule
-    recurrence, with the same operations in the same order.
+    recurrence, with the same operations in the same order: five in-place
+    ufunc calls on rotating buffers, cut to the prefix as degrees finish.
     """
-    ends = np.searchsorted(-degree, -np.arange(int(degree[0]) + 1), side="right")
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for j in range(2, len(ends)):
-        m = ends[j]
-        step = ((2.0 * j - 1.0) * x[:m] * p[:m] - (j - 1.0) * p_prev[:m]) / j
-        p_prev[:m] = p[:m]
-        p[:m] = step
-    return p, p_prev
+    ends = np.searchsorted(-degree, -np.arange(int(degree[0]) + 1), side="right").tolist()
+    pairs = np.empty((2, len(x)))
+    p_prev, p, t, u = np.ones_like(x), x.copy(), np.empty_like(x), np.empty_like(x)
+    for j, m in enumerate(ends[2:], start=2):
+        if m < len(p):  # the nodes of degree j - 1 are done
+            pairs[:, m:len(p)] = p[m:], p_prev[m:]
+            x, p, p_prev, t, u = x[:m], p[:m], p_prev[:m], t[:m], u[:m]
+        np.multiply(2.0 * j - 1.0, x, t)
+        np.multiply(t, p, t)
+        np.multiply(j - 1.0, p_prev, u)
+        np.subtract(t, u, t)
+        np.divide(t, j, t)
+        p_prev, p, t = p, t, p_prev
+    pairs[:, :len(p)] = p, p_prev
+    return pairs
 
 
 def _gauss_rule(n: int, half_nodes: np.ndarray, half_weights: np.ndarray) -> QuadratureRule:
@@ -146,8 +154,6 @@ def _gauss_rule(n: int, half_nodes: np.ndarray, half_weights: np.ndarray) -> Qua
     mirrored = n - len(half_nodes)
     nodes = np.concatenate((half_nodes, -half_nodes[:mirrored][::-1]))
     weights = np.concatenate((half_weights, half_weights[:mirrored][::-1]))
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
     return QuadratureRule(Family.GAUSS_LEGENDRE, n, UNIT_WEIGHT, nodes, weights)
 
 
@@ -208,16 +214,12 @@ def _gauss_legendre_rules(ns: list[int]) -> dict[int, QuadratureRule]:
     its own).  Nodes and weights equal those of one-rule builds bit for bit.
     """
     rules: dict[int, QuadratureRule] = {}
-    chunk: list[int] = []
-    size = 0
-    for n in sorted(set(ns), reverse=True):
-        if chunk and size + (n + 1) // 2 > _GAUSS_CHUNK_NODES:
-            rules.update(zip(chunk, _gauss_legendre_chunk(chunk)))
-            chunk, size = [], 0
-        chunk.append(n)
-        size += (n + 1) // 2
-    if chunk:
-        rules.update(zip(chunk, _gauss_legendre_chunk(chunk)))
+    ns = sorted(set(ns), reverse=True)
+    while ns:
+        ends = np.cumsum([(n + 1) // 2 for n in ns])
+        k = max(1, int(np.searchsorted(ends, _GAUSS_CHUNK_NODES, side="right")))
+        rules.update(zip(ns[:k], _gauss_legendre_chunk(ns[:k])))
+        del ns[:k]
     return rules
 
 

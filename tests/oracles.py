@@ -77,6 +77,47 @@ def quad_jacobi_moment(alpha: float, beta: float, k: int,
         return float(mp.quad(integrand, [-1, 0, 1]))
 
 
+def kink_integral(kind: str, alpha: float, beta: float,
+                  f_kind: str, c: float, s: float) -> float:
+    """integral over [-1, 1] of w(x) f(x), rounded to double.
+
+    w is the "jacobi" or "logjacobi" weight with parameters alpha, beta;
+    f is |x-c|^s ("abspow") or (x-c)_+^s ("powplus").  60-digit tanh-sinh
+    quadrature runs region by region in the distance z from each
+    region's singular end, where the integrand behaves like z^e, and
+    t = z^(1+e) makes it regular there.  Without the substitution
+    tanh-sinh loses digits once alpha or beta nears -0.85; a plain
+    mp.quad over [-1, c, 1] is off in the last digit of a double.
+    """
+    with mp.workdps(_DPS):
+        a, b, c, s = (mp.mpf(v) for v in (alpha, beta, c, s))
+
+        def weight(one_minus, one_plus):
+            w = one_minus ** a * one_plus ** b
+            return w * mp.log(one_plus / 2) if kind == "logjacobi" else w
+
+        # (length, exponent e at z = 0, z -> (1 - x, 1 + x, f(x)))
+        regions = [
+            ((1 - c) / 2, s, lambda z: (1 - c - z, 1 + c + z, z ** s)),  # x = c + z
+            ((1 - c) / 2, a, lambda z: (z, 2 - z, (1 - c - z) ** s)),  # x = 1 - z
+        ]
+        if f_kind == "abspow":
+            regions += [
+                ((1 + c) / 2, s, lambda z: (1 - c + z, 1 + c - z, z ** s)),  # x = c - z
+                ((1 + c) / 2, b, lambda z: (2 - z, z, (1 + c - z) ** s)),  # x = z - 1
+            ]
+        total = mp.mpf(0)
+        for length, e, at in regions:
+            p = 1 / (1 + e)
+
+            def integrand(t, at=at, p=p):
+                one_minus, one_plus, fx = at(t ** p)
+                return weight(one_minus, one_plus) * fx * p * t ** (p - 1)
+
+            total += mp.quad(integrand, [0, length ** (1 + e)])
+        return float(total)
+
+
 def gauss_legendre_per_n(n: int):
     """(nodes, weights) of the n-point Gauss-Legendre rule, built on its own.
 

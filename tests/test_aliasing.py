@@ -61,6 +61,11 @@ def test_reduce_validation():
     with pytest.raises(ValueError):
         alias_reduce(Family.GAUSS_LEGENDRE, 4, 5)
     assert alias_reduce(Family.FEJER1, np.int64(4), np.int64(8)) == (1, 0, -1)
+    with pytest.raises(TypeError):  # gave a GAUSS_PLAIN record with p = j = 1.0
+        gauss_alias_error(8, 40.5)
+    with pytest.raises(TypeError):
+        gauss_alias_error(8.0, 40)
+    assert gauss_alias_error(np.int64(8), np.int64(40)) == gauss_alias_error(8, 40)
 
 
 @given(

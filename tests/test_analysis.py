@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from chebquad import analysis, rules
 from chebquad.analysis import (
     _strict_peaks,
@@ -51,6 +54,43 @@ def test_oracle_one_sided_closed_form():
     assert reference_integral(UNIT, powplus(0.3, 1.7)) == pytest.approx(
         expected, rel=1e-13
     )
+
+
+KINKS = {"abspow": abspow, "powplus": powplus}
+
+
+@pytest.mark.parametrize(
+    "weight, f, expected",
+    [
+        # the double-exponential route gave 15.77641028816217 and aborted
+        (("jacobi", -0.766, 1.527), ("abspow", -0.572, 1.059), 15.776410288967666),
+        # it aborted here too
+        (("jacobi", -0.835, -0.843), ("powplus", 0.486, 0.911), 1.4575197921648984),
+        # it handed out -25.906729236430802 and -2.607434593370166 (4e-12 off)
+        (("logjacobi", 0.64, -0.712), ("abspow", 0.61, 0.375), -25.906729236543015),
+        (("logjacobi", 0.196, -0.719), ("abspow", -0.85, 1.05), -2.60743459338053),
+        # and 0.5342817535298056, one ulp low
+        (("jacobi", -0.6, -0.5), ("powplus", 0.3, 1.7), 0.5342817535298057),
+    ],
+)
+def test_oracle_pinned_kink_cells(weight, f, expected):
+    assert oracles.kink_integral(*weight, *f) == expected
+    assert reference_integral(WeightSpec(*weight), KINKS[f[0]](*f[1:])) == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(["jacobi", "logjacobi"]),
+    f_kind=st.sampled_from(sorted(KINKS)),
+    alpha=st.floats(min_value=-0.9, max_value=3.0, exclude_min=True),
+    beta=st.floats(min_value=-0.9, max_value=3.0, exclude_min=True),
+    c=st.floats(min_value=-0.95, max_value=0.95, exclude_min=True, exclude_max=True),
+    s=st.floats(min_value=0.05, max_value=3.5, exclude_min=True, exclude_max=True),
+)
+def test_oracle_kink_values_are_correctly_rounded(kind, f_kind, alpha, beta, c, s):
+    assume(f_kind == "powplus" or s % 2 != 0)
+    expected = oracles.kink_integral(kind, alpha, beta, f_kind, c, s)
+    assert reference_integral(WeightSpec(kind, alpha, beta), KINKS[f_kind](c, s)) == expected
 
 
 @pytest.mark.parametrize(

@@ -93,6 +93,9 @@ def test_chebyshev_T_clamps_roundoff_but_rejects_outside():
         chebyshev_T(3, 1.01)
     with pytest.raises(ValueError):
         chebyshev_T(-1, 0.5)
+    with pytest.raises(TypeError):  # cos(1.5 arccos 0.3) = -0.3225 is no polynomial
+        chebyshev_T(1.5, 0.3)
+    assert chebyshev_T(np.int64(3), 0.5) == chebyshev_T(3, 0.5)
 
 
 # --- node-value aliasing (what makes the error tables possible) ------------

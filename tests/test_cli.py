@@ -109,6 +109,11 @@ def test_numerical_failure_exits_two(monkeypatch, capsys):
     )
     assert code == 2
     assert "numerical failure" in err
+    # an overflowing moment seed used to end in an OverflowError traceback, exit 1
+    code, out, err = run(capsys, "nodes", "--family", "cc", "--weight", "jacobi:1030:0",
+                         "--n", "4")
+    assert code == 2 and out == ""
+    assert err.startswith("quad: numerical failure: moments of weight=")
 
 
 def test_identical_invocations_are_byte_identical(capsys):

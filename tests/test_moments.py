@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from chebquad import moments
+from chebquad.errors import NumericalFailure
 from chebquad.moments import (
     WeightKind,
     WeightSpec,
@@ -256,6 +257,11 @@ def test_moment_table_validation():
         with pytest.raises(ValueError, match="finite"):
             log_jacobi_moments(0.0, bad, 4)
     assert moments._jacobi_values.cache_info() == before
+    # a seed or boundary value beyond float64 used to escape as OverflowError
+    for kind, alpha, beta, K in (("jacobi", 1030.0, 0.0, 3), ("jacobi", 600.0, 600.0, 3),
+                                 ("jacobi", 100.0, 0.5, 4), ("logjacobi", 100.0, 0.5, 4)):
+        with pytest.raises(NumericalFailure, match=f"alpha={alpha}, beta={beta}"):
+            moments_for(WeightSpec(WeightKind(kind), alpha, beta), K)
 
 
 def test_min_bar_half_integer_convention():
