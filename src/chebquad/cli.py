@@ -203,8 +203,6 @@ def _cmd_rule(args):
 
 
 def _cmd_moments(args):
-    if args.K < 0:
-        raise _UsageError(f"K must be nonnegative, got {args.K}")
     table = moments_for(args.weight, args.K)
     comments = [
         f"weight={_weight_tag(args.weight)} K={args.K}",

@@ -11,10 +11,12 @@ recurrence
     (b+a+k+2) M_{k+1} + 2(a-b) M_k + (b+a-k+2) M_{k-1} = 0,
 
 and G_k (log-Jacobi) the inhomogeneous analogue with right-hand side
-2 M_k - M_{k-1} - M_{k+1}.  Forward recursion is stable except when the
-smaller parameter sits at (or near) a half-odd-integer {-1/2, 1/2, ...};
-those cases are solved as a tridiagonal boundary-value system with the
-seed value on the left and the large-k asymptotic value on the right.
+2 M_k - M_{k-1} - M_{k+1}.  Every table runs this recurrence forward from
+its two closed-form seeds.  When the smaller parameter sits at (or near) a
+half-odd integer {-1/2, 1/2, ...}, the wanted solution decays faster than
+the other one, which forward recursion amplifies; those tables run the
+same recurrence in mpmath with enough guard digits to absorb the growth,
+then round once to float64.
 """
 
 import enum
@@ -23,8 +25,8 @@ import math
 import operator
 from dataclasses import dataclass, field
 
+import mpmath as mp
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalFailure
 from .special import beta as beta_fn
@@ -42,15 +44,10 @@ __all__ = [
     "min_bar",
 ]
 
-# Parameters within this distance of a half-odd-integer >= -1/2 use the
-# banded solver (forward-recursion error grows continuously, so the exact
-# unstable set needs a safety margin around it).
+# Parameters within this distance of a half-odd-integer >= -1/2 run the
+# recurrence in extended precision (forward-recursion error grows
+# continuously, so the exact unstable set needs a safety margin around it).
 HALF_INTEGER_MARGIN = 0.05
-
-# Right-boundary index for the banded solve.  The leading asymptotic value
-# carries a relative correction of order k^-2, so anchoring the boundary at
-# k = 1e6 keeps its contribution below ~1e-12.
-_ASYMPTOTIC_INDEX = 10**6
 
 
 class WeightKind(str, enum.Enum):
@@ -130,50 +127,35 @@ def min_bar(alpha: float, beta: float) -> float:
     return min(alpha, beta)
 
 
-def _jacobi_asym(alpha: float, beta: float, k) -> float:
-    """Leading large-k asymptotic of M_k, both endpoint contributions."""
-    k = np.asarray(k, dtype=float)
-    sgn = np.where(np.asarray(np.mod(k, 2)) == 0, -1.0, 1.0)  # (-1)^(k+1)
-    term_right = -(2.0 ** (beta - alpha)) * math.cos(math.pi * alpha) * math.gamma(
-        2.0 * alpha + 2.0
-    ) * k ** (-2.0 - 2.0 * alpha)
-    term_left = sgn * 2.0 ** (alpha - beta) * math.cos(math.pi * beta) * math.gamma(
-        2.0 * beta + 2.0
-    ) * k ** (-2.0 - 2.0 * beta)
-    return term_right + term_left
+def _cospi(x: float) -> float:
+    """cos(pi x), exactly 0 at half-odd x, where math.cos(math.pi * x) is not."""
+    return 0.0 if x % 1.0 == 0.5 else math.cos(math.pi * x)
 
 
-def _log_jacobi_asym(alpha: float, beta: float, k) -> float:
-    """Leading large-k asymptotic of G_k.
+def moment_asymptotic(weight: WeightSpec, k: int) -> float:
+    """Leading-order large-k value of M_k (G_k for log-Jacobi), both endpoint
+    contributions, for large-k validation ratios.
 
-    The left-endpoint factor is evaluated as
+    A parameter at a half-odd integer contributes nothing at this order.
+    The log-Jacobi left-endpoint factor is evaluated as
     cos(pi b)(-ln 2k + Psi(2b+2)) - (pi/2) sin(pi b), an algebraically
     identical regularization of cos(pi b)[... - (pi/2) tan(pi b)] that
     stays finite at half-odd-integer b.
     """
-    k = np.asarray(k, dtype=float)
-    sgn = np.where(np.asarray(np.mod(k, 2)) == 0, -1.0, 1.0)
-    bracket = math.cos(math.pi * beta) * (
-        -np.log(2.0 * k) + digamma(2.0 * beta + 2.0)
-    ) - 0.5 * math.pi * math.sin(math.pi * beta)
-    term_left = (
-        sgn * 2.0 ** (alpha - beta + 1.0) * math.gamma(2.0 * beta + 2.0)
-        * k ** (-2.0 - 2.0 * beta) * bracket
-    )
-    term_right = -(2.0 ** (beta - alpha - 2.0)) * math.cos(math.pi * alpha) * math.gamma(
-        2.0 * alpha + 4.0
-    ) * k ** (-4.0 - 2.0 * alpha)
-    return term_left + term_right
-
-
-def moment_asymptotic(weight: WeightSpec, k: int) -> float:
-    """Leading-order asymptotic moment value, used as the banded-solve
-    right boundary and for large-k validation ratios."""
     if k < 1:
         raise ValueError(f"asymptotic form needs k >= 1, got {k}")
+    a, b = weight.alpha, weight.beta
+    sgn = 1.0 if k % 2 else -1.0  # (-1)^(k+1)
     if weight.kind is WeightKind.JACOBI:
-        return float(_jacobi_asym(weight.alpha, weight.beta, k))
-    return float(_log_jacobi_asym(weight.alpha, weight.beta, k))
+        right = -(2.0 ** (b - a)) * _cospi(a) * math.gamma(2.0 * a + 2.0) * k ** (-2.0 - 2.0 * a)
+        left = sgn * 2.0 ** (a - b) * _cospi(b) * math.gamma(2.0 * b + 2.0) * k ** (-2.0 - 2.0 * b)
+        return right + left
+    bracket = _cospi(b) * (digamma(2.0 * b + 2.0) - math.log(2.0 * k)) - 0.5 * math.pi * math.sin(
+        math.pi * b
+    )
+    left = sgn * 2.0 ** (a - b + 1.0) * math.gamma(2.0 * b + 2.0) * k ** (-2.0 - 2.0 * b) * bracket
+    right = -(2.0 ** (b - a - 2.0)) * _cospi(a) * math.gamma(2.0 * a + 4.0) * k ** (-4.0 - 2.0 * a)
+    return left + right
 
 
 def _jacobi_seeds(alpha: float, beta: float) -> tuple[float, float]:
@@ -190,109 +172,78 @@ def _log_seeds(alpha: float, beta: float) -> tuple[float, float]:
     return g0, g1
 
 
-def _forward(alpha: float, beta: float, K: int, v0: float, v1: float, rhs) -> np.ndarray:
-    """Run the recurrence forward from the two seeds up to index K.
+def _mp_seeds(alpha, beta, log: bool):
+    """The closed forms of _jacobi_seeds (or _log_seeds when log) in mpmath,
+    at its working precision."""
+    scale = mp.mpf(2) ** (alpha + beta + 1)
+    if not log:
+        m0 = scale * mp.beta(alpha + 1, beta + 1)
+        return m0, m0 * (beta - alpha) / (alpha + beta + 2)
 
-    ``rhs`` is None for the homogeneous (Jacobi) case or an array of
-    right-hand sides indexed by k for the log-Jacobi case.
+    def phi(c):  # phi_combo(alpha, c)
+        return mp.beta(alpha + 1, c) * (mp.digamma(alpha + c + 1) - mp.digamma(c))
+
+    return -scale * phi(beta + 1), -scale * (2 * phi(beta + 2) - phi(beta + 1))
+
+
+def _forward(alpha, beta, K: int, v0, v1, m=None) -> list:
+    """Run the recurrence forward from the two seeds up to index K, in the
+    arithmetic of the arguments (float or mpf).
+
+    ``m`` is None for the homogeneous (Jacobi) case, or the table
+    M_0..M_K whose combination 2 M_k - M_{k-1} - M_{k+1} drives the
+    log-Jacobi case.
     """
-    v = np.empty(K + 1)
-    v[0] = v0
-    if K >= 1:
-        v[1] = v1
+    v = [v0, v1][: K + 1]
     ab_sum = alpha + beta
-    two_diff = 2.0 * (alpha - beta)
+    two_diff = 2 * (alpha - beta)
     for k in range(1, K):
-        r = 0.0 if rhs is None else rhs[k]
-        v[k + 1] = (r - two_diff * v[k] - (ab_sum - k + 2.0) * v[k - 1]) / (ab_sum + k + 2.0)
+        r = 0 if m is None else 2 * m[k] - m[k - 1] - m[k + 1]
+        v.append((r - two_diff * v[k] - (ab_sum - k + 2) * v[k - 1]) / (ab_sum + k + 2))
     return v
 
 
-def _banded(alpha: float, beta: float, K_solve: int, v1: float, v_right: float, rhs) -> np.ndarray:
-    """Oliver-style tridiagonal solve for v_2..v_{K_solve-1}.
+def _values(alpha: float, beta: float, K: int, log: bool) -> tuple[np.ndarray, str, float]:
+    """M_0..M_K (G_0..G_K when log), the route that made them and its error bound.
 
-    Rows are the recurrence at k = 2..K_solve-1; the left boundary is the
-    seed v_1 and the right boundary the asymptotic value v_{K_solve}.
-    Returns the full array v_2..v_{K_solve-1} (callers prepend seeds).
+    Off the unstable set the recurrence runs in float64.  On it, the wanted
+    solution decays faster than the other one by up to a factor
+    (K+2)^(2|alpha-beta|), so the same recurrence runs in mpmath with 20
+    digits beyond log10 of that factor and the table is rounded once to
+    float64.
     """
-    n_unknown = K_solve - 2
-    k_arr = np.arange(2, K_solve, dtype=float)
-    ab_sum = alpha + beta
-    ab = np.zeros((3, n_unknown))
-    ab[1, :] = 2.0 * (alpha - beta)
-    ab[0, 1:] = ab_sum + k_arr[:-1] + 2.0  # superdiagonal: coeff of v_{k+1} in row k
-    ab[2, :-1] = ab_sum - k_arr[1:] + 2.0  # subdiagonal: coeff of v_{k-1} in row k
-    r = np.zeros(n_unknown) if rhs is None else np.array(rhs[2:K_solve], dtype=float)
-    r[0] -= (ab_sum - 2.0 + 2.0) * v1
-    r[-1] -= (ab_sum + (K_solve - 1.0) + 2.0) * v_right
-    return scipy.linalg.solve_banded((1, 1), ab, r, check_finite=False)
-
-
-def _seed_residual(alpha, beta, v, r1) -> float:
-    """Relative residual of the (unused) k = 1 recurrence row, a genuine
-    consistency check for the banded solve."""
-    ab_sum = alpha + beta
-    res = (ab_sum + 3.0) * v[2] + 2.0 * (alpha - beta) * v[1] + (ab_sum + 1.0) * v[0] - r1
-    scale = max(
-        abs((ab_sum + 3.0) * v[2]),
-        abs(2.0 * (alpha - beta) * v[1]),
-        abs((ab_sum + 1.0) * v[0]),
-        abs(r1),
-        1e-300,
-    )
-    return abs(res) / scale
+    if _forward_unstable(alpha, beta):
+        growth = 2.0 * abs(alpha - beta) * math.log10(K + 2)
+        digits = 20 + math.ceil(growth)
+        with mp.workdps(digits):
+            a, b = mp.mpf(alpha), mp.mpf(beta)
+            m = _forward(a, b, K, *_mp_seeds(a, b, False))
+            v = np.array(_forward(a, b, K, *_mp_seeds(a, b, True), m) if log else m, dtype=float)
+        # float64 rounding plus K steps of working-precision error grown by 10^growth
+        method, est = "extended", 2.0**-53 + 10.0 ** (math.log10(K) + growth - digits)
+    else:
+        m = _forward(alpha, beta, K, *_jacobi_seeds(alpha, beta))
+        v = np.array(_forward(alpha, beta, K, *_log_seeds(alpha, beta), m) if log else m)
+        method, est = "forward", 2e-16
+    # |v_k| <= |v_0|: the weight has one sign and |T_k| <= 1
+    if not math.isfinite(v[0]):
+        raise OverflowError("moment table beyond float64")
+    v.setflags(write=False)
+    return v, method, est
 
 
 @functools.lru_cache(maxsize=256)
 def _jacobi_values(alpha: float, beta: float, K: int) -> tuple[np.ndarray, str, float]:
-    m0, m1 = _jacobi_seeds(alpha, beta)
-    if not _forward_unstable(alpha, beta):
-        v = _forward(alpha, beta, K, m0, m1, None)
-        v.setflags(write=False)
-        return v, "forward", 2e-16
-    K_solve = max(2 * K, 64, _ASYMPTOTIC_INDEX)
-    interior = _banded(
-        alpha, beta, K_solve, m1, float(_jacobi_asym(alpha, beta, K_solve)), None
-    )
-    v = np.concatenate(([m0, m1], interior))
-    est = _seed_residual(alpha, beta, v, 0.0)
-    v = v[: K + 1].copy()
-    v.setflags(write=False)
-    return v, "banded", est
+    return _values(alpha, beta, K, False)
 
 
 @functools.lru_cache(maxsize=256)
 def _log_values(alpha: float, beta: float, K: int) -> tuple[np.ndarray, str, float]:
-    g0, g1 = _log_seeds(alpha, beta)
-    if not _forward_unstable(alpha, beta):
-        m = _jacobi_values(alpha, beta, K + 1)[0]
-        rhs = 2.0 * m[1:-1] - m[:-2] - m[2:]  # rhs[k-1] = 2 M_k - M_{k-1} - M_{k+1}
-        rhs = np.concatenate(([0.0], rhs))
-        v = _forward(alpha, beta, K, g0, g1, rhs)
-        v.setflags(write=False)
-        return v, "forward", 2e-16
-    K_solve = max(2 * K, 64, _ASYMPTOTIC_INDEX)
-    # The Jacobi prerequisite is solved one index further out so the
-    # right-hand side extends far enough without a second banded pass.
-    m0, m1 = _jacobi_seeds(alpha, beta)
-    m_interior = _banded(
-        alpha, beta, K_solve + 1, m1, float(_jacobi_asym(alpha, beta, K_solve + 1)), None
-    )
-    m = np.concatenate(([m0, m1], m_interior))  # M_0..M_{K_solve}
-    rhs = np.zeros(K_solve)
-    rhs[1:] = 2.0 * m[1:-1] - m[:-2] - m[2:]  # rhs[k] = 2 M_k - M_{k-1} - M_{k+1}
-    interior = _banded(
-        alpha, beta, K_solve, g1, float(_log_jacobi_asym(alpha, beta, K_solve)), rhs
-    )
-    v = np.concatenate(([g0, g1], interior))
-    est = _seed_residual(alpha, beta, v, rhs[1])
-    v = v[: K + 1].copy()
-    v.setflags(write=False)
-    return v, "banded", est
+    return _values(alpha, beta, K, True)
 
 
 def _bucket(K: int) -> int:
-    """Round K up to a power of two so nearby requests share one cached solve."""
+    """Round K up to a power of two so nearby requests share one cached table."""
     b = 64
     while b < K:
         b *= 2
@@ -323,12 +274,14 @@ def moments_for(weight: WeightSpec, K: int) -> MomentTable:
         K: largest moment index, an integer (operator.index) K >= 0.
 
     Returns:
-        MomentTable whose ``method`` records whether the forward recurrence
-        or the banded boundary-value solve produced the values, and whose
-        ``est_rel_error`` is a residual-based consistency estimate.
+        MomentTable whose ``method`` records whether the recurrence ran in
+        float64 ("forward") or in mpmath rounded once to float64
+        ("extended"), and whose ``est_rel_error`` is that route's relative
+        error estimate.
 
     Raises:
-        NumericalFailure: a seed or boundary value overflows float64.
+        ValueError: K is negative.
+        NumericalFailure: a seed or a moment overflows float64.
     """
     K = operator.index(K)
     if K < 0:

@@ -105,7 +105,7 @@ def test_criterion_1_exactness(capsys):
 def test_criterion_2_moment_oracle_equivalence(capsys):
     t0 = time.monotonic()
     pairs = [(a, b) for a in GRID7 for b in GRID7]
-    banded = sum(1 for a, b in pairs if jacobi_moments(a, b, 40).method == "banded")
+    extended = sum(1 for a, b in pairs if jacobi_moments(a, b, 40).method == "extended")
     misses = []
     worst = 0.0
     for a, b in pairs:
@@ -124,10 +124,10 @@ def test_criterion_2_moment_oracle_equivalence(capsys):
                     misses.append(f"{kind}_{k}({a},{b}): |diff|={diff:.2e}>{limit:.2e}")
 
     elapsed = time.monotonic() - t0
-    ok = not misses and banded >= 2 and elapsed < 60.0
+    ok = not misses and extended >= 2 and elapsed < 60.0
     detail = (
         f"{len(pairs)} pairs x k<=40 x {{M,G}} vs closed-form reference; "
-        f"worst diff at {worst:.2e} of its limit; {banded} banded-route pairs"
+        f"worst diff at {worst:.2e} of its limit; {extended} extended-route pairs"
         + (f"; misses: {misses[:4]}" if misses else "")
     )
     _report(capsys, 2, ok, elapsed, 60.0, detail)

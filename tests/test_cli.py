@@ -135,7 +135,7 @@ def test_usage_error_leaves_the_parser_reusable(capsys):
 
 def test_import_leaves_out_scipy_signal_and_stats():
     probe = ("import sys, chebquad.cli; print(sorted(m for m in sys.modules"
-             " if m.startswith(('scipy.signal', 'scipy.stats'))))")
+             " if m.startswith(('scipy.signal', 'scipy.stats', 'scipy.linalg'))))")
     assert run_fresh("-c", probe).stdout.decode().strip() == "[]"
 
 

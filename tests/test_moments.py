@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -19,12 +19,17 @@ from chebquad.moments import (
 )
 
 # parameter strategy away from the -1 blowup; half-integers inside the
-# range are fine (they route to the banded solver)
+# range are fine (they route to the extended-precision recurrence)
 params = st.floats(min_value=-0.9, max_value=1.5, allow_nan=False)
 
 
 def close_to_reference(value, reference, rel=1e-9, tiny=1e-12):
     return abs(value - reference) <= rel * abs(reference) + tiny
+
+
+def within_one_ulp(values, references):
+    references = np.asarray(references)
+    return bool(np.all(np.abs(np.asarray(values) - references) <= np.spacing(np.abs(references))))
 
 
 # --- known closed forms -----------------------------------------------------
@@ -55,9 +60,9 @@ def test_log_weight_first_moments():
 PAIR_SAMPLE = [
     (0.2, -0.3),   # forward route
     (-0.6, -0.6),  # forward, symmetric negative
-    (0.5, -0.5),   # banded: beta on a half-integer, alpha above it
-    (-0.5, 0.5),   # banded, mirrored
-    (0.0, -0.45),  # banded: near-half-integer neighborhood
+    (0.5, -0.5),   # extended: beta on a half-integer, alpha above it
+    (-0.5, 0.5),   # extended, mirrored
+    (0.0, -0.45),  # extended: near-half-integer neighborhood
     (1.0, 0.2),    # forward, one parameter at 1
 ]
 K_SAMPLE = [0, 1, 2, 3, 5, 10, 17, 40]
@@ -148,10 +153,10 @@ def test_symmetric_weight_kills_odd_moments(alpha):
 
 
 def test_unstable_pairs_use_banded_solver():
-    assert jacobi_moments(0.5, -0.5, 40).method == "banded"
-    assert jacobi_moments(-0.5, 0.5, 40).method == "banded"
-    assert jacobi_moments(0.0, -0.45, 40).method == "banded"  # near-half buffer
-    assert log_jacobi_moments(0.0, -0.5, 40).method == "banded"
+    assert jacobi_moments(0.5, -0.5, 40).method == "extended"
+    assert jacobi_moments(-0.5, 0.5, 40).method == "extended"
+    assert jacobi_moments(0.0, -0.45, 40).method == "extended"  # near-half buffer
+    assert log_jacobi_moments(0.0, -0.5, 40).method == "extended"
     assert jacobi_moments(0.2, -0.3, 40).method == "forward"
     assert jacobi_moments(-0.5, -0.5, 40).method == "forward"  # equal: stable
 
@@ -162,11 +167,12 @@ def test_banded_solver_reports_small_residual():
 
 
 def test_forward_drift_in_the_unstable_class():
-    # what the banded solver buys: with beta = -1/2 the slowly-decaying
+    # what the extended route buys: with beta = -1/2 the slowly-decaying
     # k^(-1) recurrence branch is absent from the true solution, so any
-    # roundoff the forward pass injects grows relatively like k^3.  By
-    # k = 4096 the naive forward table has drifted visibly while the
-    # banded table still sits on the asymptotic curve.
+    # roundoff a float64 forward pass injects grows relatively like k^3.
+    # By k = 4096 the naive float64 table has drifted visibly (4.8e-6)
+    # while the extended table matches the closed form
+    # M_K = (3 sqrt(2) / 2) / ((K^2 - 1/4)(K^2 - 9/4)).
     alpha, beta = 1.0, -0.5
     K = 4096
     good = jacobi_moments(alpha, beta, K).values
@@ -177,11 +183,36 @@ def test_forward_drift_in_the_unstable_class():
             - (alpha + beta - k + 2.0) * naive[k - 1]
         ) / (alpha + beta + k + 2.0)
         naive.append(nxt)
-    w = WeightSpec(WeightKind.JACOBI, alpha, beta)
-    asym = moment_asymptotic(w, K)
-    assert abs(good[K] / asym - 1.0) < 3e-6
-    assert abs(naive[K] / asym - 1.0) > 5e-6
+    exact = 1.5 * math.sqrt(2.0) / ((K * K - 0.25) * (K * K - 2.25))
+    assert abs(good[K] / exact - 1.0) < 1e-13
+    assert abs(naive[K] / exact - 1.0) > 4e-6
     assert abs(naive[K] - good[K]) > 1e-7 * abs(good[K])
+    # the leading term alone: the beta = -1/2 endpoint contributes exactly 0
+    w = WeightSpec(WeightKind.JACOBI, alpha, beta)
+    assert moment_asymptotic(w, K) == pytest.approx(1.5 * math.sqrt(2.0) / K**4, rel=1e-15)
+
+
+@given(
+    kind=st.sampled_from(["jacobi", "logjacobi"]),
+    half_odd=st.sampled_from([-0.5, 0.5, 1.5, 2.5]),
+    offset=st.one_of(st.just(0.0), st.sampled_from([-1e-8, 1e-8]), st.floats(-0.049, 0.049)),
+    gap=st.floats(min_value=0.1, max_value=3.0),
+    mirrored=st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_extended_route_is_correctly_rounded(kind, half_odd, offset, gap, mirrored):
+    # smaller parameter at, 1e-8 from, or within the margin of a half-odd
+    # integer.  The larger one keeps clear of half-odd integers: with both
+    # near one, the moments beyond k = 1 are tiny cancellations of M_0 and
+    # the 20 guard digits no longer give the last bit.
+    smaller = half_odd + offset
+    larger = smaller + gap
+    assume(abs(larger % 1.0 - 0.5) > 0.06)
+    alpha, beta = (smaller, larger) if mirrored else (larger, smaller)
+    table = moments_for(WeightSpec(WeightKind(kind), alpha, beta), 40)
+    assert table.method == "extended"
+    ref = oracles.chebyshev_jacobi_moment if kind == "jacobi" else oracles.chebyshev_log_jacobi_moment
+    assert within_one_ulp(table.values, [ref(alpha, beta, k) for k in range(41)])
 
 
 def test_tables_are_consistent_across_lengths():
@@ -257,11 +288,20 @@ def test_moment_table_validation():
         with pytest.raises(ValueError, match="finite"):
             log_jacobi_moments(0.0, bad, 4)
     assert moments._jacobi_values.cache_info() == before
-    # a seed or boundary value beyond float64 used to escape as OverflowError
+    # a seed or moment beyond float64 used to escape as OverflowError or,
+    # as a product of two finite factors (1022, -0.99), as an inf/NaN table;
+    # on the extended route an mpf beyond float64 would round silently to inf
     for kind, alpha, beta, K in (("jacobi", 1030.0, 0.0, 3), ("jacobi", 600.0, 600.0, 3),
-                                 ("jacobi", 100.0, 0.5, 4), ("logjacobi", 100.0, 0.5, 4)):
+                                 ("jacobi", 1022.0, -0.99, 3), ("jacobi", 1100.0, 0.5, 4)):
         with pytest.raises(NumericalFailure, match=f"alpha={alpha}, beta={beta}"):
             moments_for(WeightSpec(WeightKind(kind), alpha, beta), K)
+    # M_0 = 3.1188914686080845e+27 is finite; only the old asymptotic
+    # boundary, Gamma(202), overflowed
+    assert jacobi_moments(100.0, 0.5, 4).values[0] == 3.1188914686080845e27
+    for kind, ref in (("jacobi", oracles.chebyshev_jacobi_moment),
+                      ("logjacobi", oracles.chebyshev_log_jacobi_moment)):
+        table = moments_for(WeightSpec(WeightKind(kind), 100.0, 0.5), 4)
+        assert within_one_ulp(table.values, [ref(100.0, 0.5, k) for k in range(5)]), kind
 
 
 def test_min_bar_half_integer_convention():
