@@ -11,6 +11,7 @@ from .aliasing import (
     AliasRecord,
     ReducedForm,
     alias_error,
+    alias_errors,
     alias_reduce,
     error_series_check,
     gauss_alias_error,
@@ -38,6 +39,7 @@ from .chebcore import (
     Family,
     cheb_expansion_coeffs,
     chebyshev_T,
+    interp_rules,
     interp_weights,
     make_points,
 )
@@ -56,6 +58,7 @@ from .moments import (
 from .rules import (
     QuadratureRule,
     apply,
+    apply_each,
     build_weighted_rule,
     gauss_legendre,
     rule_for,
@@ -82,8 +85,10 @@ __all__ = [
     "WeightSpec",
     "abspow",
     "alias_error",
+    "alias_errors",
     "alias_reduce",
     "apply",
+    "apply_each",
     "build_weighted_rule",
     "cheb_expansion_coeffs",
     "chebyshev_T",
@@ -95,6 +100,7 @@ __all__ = [
     "gauss_alias_error",
     "gauss_legendre",
     "gauss_open_problem_study",
+    "interp_rules",
     "interp_weights",
     "jacobi_moments",
     "log_jacobi_moments",

@@ -15,7 +15,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -119,45 +119,46 @@ def _reduce(family: Family, n: int, m: int) -> tuple[int, int, int, ReducedForm]
 
 
 def _node_sum(rule: QuadratureRule, degree: int) -> float:
-    return math.fsum(rule.weights * chebyshev_T(degree, rule.nodes))
+    return math.fsum((rule.weights * chebyshev_T(degree, rule.nodes)).tolist())
 
 
-def alias_error(family: Family, n: int, m: int, weight: WeightSpec) -> AliasRecord:
-    """Exact aliasing error E_n[T_m] = I[T_m] - I_n[T_m] with its identity value.
+def alias_errors(family: Family, n: int, ms: Iterable[int], weight: WeightSpec) -> list[AliasRecord]:
+    """Exact aliasing errors E_n[T_m] = I[T_m] - I_n[T_m] with their identity
+    values, for every degree m in ms, on one rule_for rule.
 
     ``computed`` subtracts the direct node sum from the modified moment;
     ``predicted`` replaces the node sum by the reduced identity (the
     moment M_j for j <= n-1, the rule's own value of T_n / T_{n+1} at
     the Fejer-2 edge, zero for odd multiples of n on Fejer-1).  The two
     agree to roundoff because T_m and sign*T_j coincide at the nodes.
+    Each m takes its own moment table M_0..M_m.
     """
     rule = rule_for(family, n, weight)
-    table = moments_for(weight, m)
-    p, j, sign, form = _reduce(family, n, m)
+    records = []
+    for m in ms:
+        table = moments_for(weight, m)
+        p, j, sign, form = _reduce(family, n, m)
+        exact = table.values[m]
+        computed = exact - _node_sum(rule, m)
+        if form is ReducedForm.FEJER1_ZERO:
+            reduced_value = 0.0
+        elif form in (ReducedForm.FEJER2_EDGE_N, ReducedForm.FEJER2_EDGE_N1):
+            reduced_value = _node_sum(rule, j)
+        else:
+            # j <= n-1: the rule integrates T_j exactly, so its value is M_j.
+            reduced_value = table.values[j]
+        predicted = exact - sign * reduced_value
+        records.append(AliasRecord(
+            family=rule.family, n=rule.n, m=m, reduced_form=form, p=p, j=j, sign=sign,
+            predicted=predicted, computed=computed, residual=abs(computed - predicted),
+            leading=abs(table.values[j]),
+        ))
+    return records
 
-    exact = table.values[m]
-    computed = exact - _node_sum(rule, m)
-    if form is ReducedForm.FEJER1_ZERO:
-        reduced_value = 0.0
-    elif form in (ReducedForm.FEJER2_EDGE_N, ReducedForm.FEJER2_EDGE_N1):
-        reduced_value = _node_sum(rule, j)
-    else:
-        # j <= n-1: the rule integrates T_j exactly, so its value is M_j.
-        reduced_value = table.values[j]
-    predicted = exact - sign * reduced_value
-    return AliasRecord(
-        family=Family(family),
-        n=n,
-        m=m,
-        reduced_form=form,
-        p=p,
-        j=j,
-        sign=sign,
-        predicted=predicted,
-        computed=computed,
-        residual=abs(computed - predicted),
-        leading=abs(table.values[j]),
-    )
+
+def alias_error(family: Family, n: int, m: int, weight: WeightSpec) -> AliasRecord:
+    """alias_errors with the one degree m."""
+    return alias_errors(family, n, (m,), weight)[0]
 
 
 def _legendre_exact(m: int) -> float:

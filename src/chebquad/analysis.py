@@ -31,7 +31,7 @@ import numpy as np
 from .chebcore import Family
 from .errors import NumericalFailure
 from .moments import UNIT_WEIGHT, WeightKind, WeightSpec, min_bar, moments_for
-from .rules import apply, rules_for, weight_abs_sum
+from .rules import apply_each, rules_for, weight_abs_sum
 
 __all__ = [
     "TestKind",
@@ -226,7 +226,7 @@ def _float_region(weight: WeightSpec, f: TestFunction, region: _Region) -> list[
             fv = f(c + region.kink_side * z)
         else:
             fv = z ** f.s
-    return list(np.ravel(wq * w * fv))
+    return np.ravel(wq * w * fv).tolist()
 
 
 def _float_value(weight: WeightSpec, f: TestFunction) -> float:
@@ -354,6 +354,17 @@ def theoretical_rate(family: Family, weight: WeightSpec, s: float) -> tuple[floa
     return -s - 2.0 - 2.0 * weight.beta, True
 
 
+def _usable(ns, errors, window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, error) pairs with n inside the window and a finite positive error."""
+    ns = np.asarray(ns, dtype=float)
+    errors = np.asarray(errors, dtype=float)
+    if ns.shape != errors.shape:
+        raise ValueError("ns and errors must have matching shapes")
+    lo, hi = window
+    keep = (ns >= lo) & (ns <= hi) & np.isfinite(errors) & (errors > 0.0)
+    return ns[keep], errors[keep]
+
+
 def fit_slope(
     ns: Sequence[int], errors: Sequence[float], window: tuple[int, int]
 ) -> tuple[float, float]:
@@ -363,18 +374,10 @@ def fit_slope(
     hits or noise-floor entries, not data).  Raises ValueError when
     fewer than 5 usable points remain or the data are degenerate.
     """
-    ns = np.asarray(ns, dtype=float)
-    errors = np.asarray(errors, dtype=float)
-    if ns.shape != errors.shape:
-        raise ValueError("ns and errors must have matching shapes")
-    lo, hi = window
-    keep = (ns >= lo) & (ns <= hi) & np.isfinite(errors) & (errors > 0.0)
-    if int(keep.sum()) < 5:
-        raise ValueError(
-            f"need at least 5 usable points in window {window}, got {int(keep.sum())}"
-        )
-    x = np.log(ns[keep])
-    y = np.log(errors[keep])
+    x, y = _usable(ns, errors, window)
+    if len(x) < 5:
+        raise ValueError(f"need at least 5 usable points in window {window}, got {len(x)}")
+    x, y = np.log(x), np.log(y)
     if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
         raise ValueError("degenerate fit data: no spread in n or in error")
     slope, intercept = np.polyfit(x, y, 1)
@@ -409,14 +412,7 @@ def envelope_slope(
     be a maximum among its sampled neighbours while sitting nowhere
     near a true envelope peak.
     """
-    ns = np.asarray(ns, dtype=float)
-    errors = np.asarray(errors, dtype=float)
-    if ns.shape != errors.shape:
-        raise ValueError("ns and errors must have matching shapes")
-    lo, hi = window
-    keep = (ns >= lo) & (ns <= hi) & np.isfinite(errors) & (errors > 0.0)
-    x = ns[keep]
-    y = errors[keep]
+    x, y = _usable(ns, errors, window)
     peaks = _strict_peaks(y)
     if len(peaks) < 5:
         raise ValueError(
@@ -479,7 +475,8 @@ def convergence_study(
 
     theoretical_slope, log_factor = theoretical_rate(family, weight, f.s)
     reference, est = oracle_integral(weight, f)
-    errors = tuple(abs(reference - apply(rule, f)) for rule in rules_for(family, ns, weight))
+    errors = tuple(abs(reference - value)
+                   for value in apply_each(rules_for(family, ns, weight), f))
 
     if fit_window is None:
         fit_window = (max(100, ns[0]), ns[-1])
@@ -597,11 +594,11 @@ def gauss_open_problem_study(
     gj = []
     for n in ns:
         x, w = scipy.special.roots_jacobi(n, weight.alpha, weight.beta)
-        gj.append(abs(reference - math.fsum(w * f(x))))
-    gl = [abs(reference - math.fsum(rule.weights * weight(rule.nodes) * f(rule.nodes)))
+        gj.append(abs(reference - math.fsum((w * f(x)).tolist())))
+    gl = [abs(reference - math.fsum((rule.weights * weight(rule.nodes) * f(rule.nodes)).tolist()))
           for rule in rules_for(Family.GAUSS_LEGENDRE, ns, UNIT_WEIGHT)]
-    cc = [abs(reference - apply(rule, f))
-          for rule in rules_for(Family.CLENSHAW_CURTIS, ns, weight)]
+    cc = [abs(reference - value)
+          for value in apply_each(rules_for(Family.CLENSHAW_CURTIS, ns, weight), f)]
     if fit_window is None:
         fit_window = (max(100, ns[0]), ns[-1])
     slopes = {}

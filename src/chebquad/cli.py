@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .aliasing import alias_error, gauss_alias_error
+from .aliasing import alias_errors, gauss_alias_error
 from .analysis import (
     abspow,
     convergence_study,
@@ -224,11 +224,11 @@ def _cmd_alias_table(args):
     m_max = 3 * args.n if args.m_max is None else args.m_max
     if m_max < 0:
         raise _UsageError(f"m-max must be nonnegative, got {m_max}")
-    rule_for(args.family, args.n, args.weight)  # rejects a weight the family cannot take
     if args.family is Family.GAUSS_LEGENDRE:
+        rule_for(args.family, args.n, args.weight)  # rejects a non-unit weight
         records = [gauss_alias_error(args.n, m) for m in range(m_max + 1)]
     else:
-        records = [alias_error(args.family, args.n, m, args.weight) for m in range(m_max + 1)]
+        records = alias_errors(args.family, args.n, range(m_max + 1), args.weight)
     comments = [
         f"family={args.family.value} n={args.n} weight={_weight_tag(args.weight)}"
     ]

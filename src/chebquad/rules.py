@@ -6,38 +6,33 @@ log-Jacobi weight) come from the identity
     I_n[f] = sum_j b_j(f) m_j = sum_i w_i f(x_i),
 
 where b_j are the interpolation coefficients of f on the point set and
-m_j the modified moments; chebcore.interp_weights turns the moment
-vector into the explicit weights w_i.  They are built one rule at a time.
+m_j the modified moments; chebcore.interp_rules turns one moment table
+into the points x_i and weights w_i of many rules at once.
 
 Gauss-Legendre (w == 1) uses Newton iteration on the recurrence-evaluated
-Legendre polynomial with asymptotic initial guesses.  One batched builder
-runs it for many n at once: the half-nodes of every requested rule are
-packed into one flat array in descending n, and step j of the three-term
-recurrence updates only the prefix of nodes with n >= j.  Each rule keeps
-its own convergence test, polishing step and exact zero node for odd n,
-and every node goes through the operations of a one-rule build in the
-same order, so the nodes and weights do not depend on which other rules
-were built alongside.  The builder works in chunks of at most
-_GAUSS_CHUNK_NODES half-nodes, which bounds its working set.
+Legendre polynomial with asymptotic initial guesses, on the packed
+half-nodes of many n at once; every node goes through the operations of a
+one-rule build in the same order, so the rules do not depend on which
+others were built alongside.
 
-Built Gauss-Legendre rules are kept in one store, bounded in total points
-rather than in rules and large enough for a whole n = 10..1000 sweep.
-rules_for is the sweep entry: it looks up all of a sweep's n and builds
-the missing rules in one batched call.  rule_for (one n) and
-gauss_legendre go through the same store.
+Sweeps run in chunks of at most _CHUNK_POINTS points (half as many
+Gauss-Legendre half-nodes), which bounds their working set.  rules_for
+builds a weighted sweep lazily, one chunk per step, from one moment
+table; apply_each calls the integrand once per chunk.  Built rules are
+kept in two stores bounded in total points: the Gauss-Legendre one holds
+a whole n = 10..1000 sweep, the weighted one a chunk.
 """
 
 import collections
-import functools
 import math
 import operator
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .chebcore import CHEBYSHEV_FAMILIES, Family, interp_weights, make_points
+from .chebcore import CHEBYSHEV_FAMILIES, Family, interp_rules
 from .errors import NumericalFailure
 from .moments import UNIT_WEIGHT, WeightSpec, moments_for
 
@@ -48,6 +43,7 @@ __all__ = [
     "rule_for",
     "rules_for",
     "apply",
+    "apply_each",
     "weight_abs_sum",
 ]
 
@@ -76,34 +72,23 @@ def _as_ns(ns, least: int) -> list[int]:
     return ns
 
 
-@functools.lru_cache(maxsize=512)
-def _weighted_rule_cached(family: Family, n: int, weight: WeightSpec) -> QuadratureRule:
-    return QuadratureRule(family, n, weight, make_points(family, n),
-                          interp_weights(family, moments_for(weight, n - 1).values))
+_CHUNK_POINTS = 1 << 14  # points per chunk of a sweep
 
 
-def build_weighted_rule(family: Family, n: int, weight: WeightSpec) -> QuadratureRule:
-    """Interpolatory rule on the Chebyshev point set for a weighted integral.
-
-    Args:
-        family: FEJER1, FEJER2 or CLENSHAW_CURTIS.
-        n: number of points, an integer (operator.index) n >= 2.
-        weight: Jacobi or log-Jacobi weight specification.
-
-    Returns:
-        QuadratureRule with explicit nodes and weights; applying it to a
-        sampled function equals the coefficient-space sum b_j m_j.
-    """
-    family = Family(family)
-    if family not in CHEBYSHEV_FAMILIES:
-        raise ValueError(f"weighted rules exist for Chebyshev families only, got {family}")
-    (n,) = _as_ns((n,), 2)
-    return _weighted_rule_cached(family, n, weight)
+def _chunks(items: Iterable, size, limit: int) -> Iterator[list]:
+    """Consecutive runs of items whose size(item) add up to at most limit;
+    an item larger than limit makes a run of its own."""
+    run, total = [], 0
+    for item in items:
+        if run and total + size(item) > limit:
+            yield run
+            run, total = [], 0
+        run.append(item)
+        total += size(item)
+    if run:
+        yield run
 
 
-# Half-nodes per batched Newton pass.  The builder's working set is a few
-# float arrays of this length, however many rules a sweep asks for.
-_GAUSS_CHUNK_NODES = 8192
 # Points (a node and its weight each) of the Gauss-Legendre rules kept.  One
 # n = 10..1000 sweep holds 500 455 points, 8 MB.
 _GAUSS_STORE_POINTS = 1 << 19
@@ -207,28 +192,21 @@ def _gauss_legendre_chunk(ns: list[int]) -> list[QuadratureRule]:
 
 
 def _gauss_legendre_rules(ns: list[int]) -> dict[int, QuadratureRule]:
-    """The batched builder: the rules for every n in ns, by n.
-
-    The half-nodes of all rules are packed in descending n and built in
-    chunks of at most _GAUSS_CHUNK_NODES (a larger rule gets a chunk of
-    its own).  Nodes and weights equal those of one-rule builds bit for bit.
-    """
+    """The batched builder: the rules for every n in ns, by n, built in
+    chunks of descending n, bit for bit equal to one-rule builds."""
     rules: dict[int, QuadratureRule] = {}
-    ns = sorted(set(ns), reverse=True)
-    while ns:
-        ends = np.cumsum([(n + 1) // 2 for n in ns])
-        k = max(1, int(np.searchsorted(ends, _GAUSS_CHUNK_NODES, side="right")))
-        rules.update(zip(ns[:k], _gauss_legendre_chunk(ns[:k])))
-        del ns[:k]
+    for chunk in _chunks(sorted(set(ns), reverse=True), lambda n: (n + 1) // 2,
+                         _CHUNK_POINTS // 2):
+        rules.update(zip(chunk, _gauss_legendre_chunk(chunk)))
     return rules
 
 
 _CacheInfo = collections.namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
-class _GaussLegendreStore:
-    """Gauss-Legendre rules by n, bounded in total points: once the rules
-    hold more than ``max_points`` nodes, the least recently used go.
+class _RuleStore:
+    """Rules by key, bounded in total points: once the rules hold more than
+    ``max_points`` nodes, the least recently used go.
 
     cache_info() counts every rule looked up as one hit or one miss, as
     functools.lru_cache does; its maxsize and currsize are in points.
@@ -239,30 +217,29 @@ class _GaussLegendreStore:
         self._lock = threading.Lock()
         self.cache_clear()
 
-    def rules(self, ns: list[int]) -> list[QuadratureRule]:
-        """The rules for ns, in order; the missing ones built in one batch."""
-        found: dict[int, Optional[QuadratureRule]] = {}
+    def rules(self, keys: list, build: Callable[[list], dict]) -> list[QuadratureRule]:
+        """The rules for keys, in order; build(missing keys) makes the
+        missing ones in one call and returns them by key."""
         with self._lock:
-            for n in ns:
-                if n in found:
-                    self._hits += 1
-                elif n in self._rules:
-                    self._rules.move_to_end(n)
-                    found[n] = self._rules[n]
-                    self._hits += 1
+            found = {key: self._rules.get(key) for key in keys}
+            missing = []
+            for key, rule in found.items():
+                if rule is None:
+                    missing.append(key)
                 else:
-                    found[n] = None
-                    self._misses += 1
-        built = _gauss_legendre_rules([n for n, rule in found.items() if rule is None])
+                    self._rules.move_to_end(key)
+            self._misses += len(missing)
+            self._hits += len(keys) - len(missing)
+        built = build(missing) if missing else {}
         found.update(built)
         with self._lock:
-            for n in ns:
-                if n in built and n not in self._rules:
-                    self._rules[n] = built[n]
-                    self._points += n
+            for key in missing:
+                if key not in self._rules:
+                    self._rules[key] = built[key]
+                    self._points += built[key].n
             while self._points > self.max_points:
-                self._points -= self._rules.popitem(last=False)[0]
-        return [found[n] for n in ns]
+                self._points -= self._rules.popitem(last=False)[1].n
+        return [found[key] for key in keys]
 
     def cache_info(self) -> _CacheInfo:
         with self._lock:
@@ -270,11 +247,14 @@ class _GaussLegendreStore:
 
     def cache_clear(self) -> None:
         with self._lock:
-            self._rules: collections.OrderedDict[int, QuadratureRule] = collections.OrderedDict()
+            self._rules: collections.OrderedDict = collections.OrderedDict()
             self._points = self._hits = self._misses = 0
 
 
-_gauss_legendre_cached = _GaussLegendreStore(_GAUSS_STORE_POINTS)
+# Gauss-Legendre rules by n.
+_gauss_legendre_cached = _RuleStore(_GAUSS_STORE_POINTS)
+# Weighted rules by (family, n, weight).
+_weighted_rule_cached = _RuleStore(_CHUNK_POINTS)
 
 
 def gauss_legendre(n: int) -> QuadratureRule:
@@ -284,7 +264,30 @@ def gauss_legendre(n: int) -> QuadratureRule:
     symmetric about 0 by construction); weights are
     2 / ((1 - x^2) P_n'(x)^2).  n must be an integer (operator.index).
     """
-    return _gauss_legendre_cached.rules(_as_ns((n,), 1))[0]
+    return _gauss_legendre_cached.rules(_as_ns((n,), 1), _gauss_legendre_rules)[0]
+
+
+def _weighted_rules(family: Family, ns: list[int], weight: WeightSpec) -> Iterator[QuadratureRule]:
+    moments = moments_for(weight, max(ns, default=1) - 1).values
+
+    def build(keys):
+        chunk = [n for _, n, _ in keys]
+        nodes, weights, bounds = interp_rules(family, chunk, moments)
+        bounds = bounds.tolist()
+        return {key: QuadratureRule(family, n, weight, nodes[a:b], weights[a:b])
+                for key, n, a, b in zip(keys, chunk, bounds, bounds[1:])}
+
+    for chunk in _chunks(ns, lambda n: n, _CHUNK_POINTS):
+        yield from _weighted_rule_cached.rules([(family, n, weight) for n in chunk], build)
+
+
+def build_weighted_rule(family: Family, n: int, weight: WeightSpec) -> QuadratureRule:
+    """The interpolatory rule on the n-point Chebyshev grid (n >= 2) for a
+    Jacobi or log-Jacobi weight: rule_for, Chebyshev families only."""
+    family = Family(family)
+    if family not in CHEBYSHEV_FAMILIES:
+        raise ValueError(f"weighted rules exist for Chebyshev families only, got {family}")
+    return rule_for(family, n, weight)
 
 
 def rules_for(family: Family, ns: Iterable[int], weight: WeightSpec) -> Iterator[QuadratureRule]:
@@ -293,22 +296,44 @@ def rules_for(family: Family, ns: Iterable[int], weight: WeightSpec) -> Iterator
     Every n is checked first (an integer under operator.index, at least 1
     for Gauss-Legendre and 2 otherwise).  Gauss-Legendre accepts only
     UNIT_WEIGHT; its rules are looked up at once and the missing ones
-    built in one batched Newton pass before this returns.  Weighted
-    Chebyshev-point rules are built one at a time as the iterator
-    advances.
+    built in one batched Newton pass before this returns.  Weighted rules
+    are built from one moment table M_0..M_{max(ns)-1}, one chunk at a
+    time as the iterator advances (nothing before the first next()).
     """
     family = Family(family)
     if family is Family.GAUSS_LEGENDRE:
         if weight != UNIT_WEIGHT:
             raise ValueError("Gauss-Legendre handles only the unit weight jacobi:0:0")
-        return iter(_gauss_legendre_cached.rules(_as_ns(ns, 1)))
-    ns = _as_ns(ns, 2)
-    return (build_weighted_rule(family, n, weight) for n in ns)
+        return iter(_gauss_legendre_cached.rules(_as_ns(ns, 1), _gauss_legendre_rules))
+    return _weighted_rules(family, _as_ns(ns, 2), weight)
 
 
 def rule_for(family: Family, n: int, weight: WeightSpec) -> QuadratureRule:
     """The rule for (family, n, weight): rules_for with one n."""
     return next(rules_for(family, (n,), weight))
+
+
+def apply_each(rules: Iterable[QuadratureRule], f) -> list[float]:
+    """apply for every rule, in order, one chunk of rules at a time: ``f``
+    is called once over a chunk's concatenated nodes (so it must act
+    elementwise), or node by node if it is scalar-only."""
+    sums = []
+    for chunk in _chunks(rules, lambda rule: rule.n, _CHUNK_POINTS):
+        nodes = np.concatenate([rule.nodes for rule in chunk])
+        try:
+            fv = np.asarray(f(nodes), dtype=float)
+            if fv.shape != nodes.shape:
+                raise TypeError
+        except (TypeError, ValueError):
+            fv = np.array([float(f(x)) for x in nodes])
+        if not np.all(np.isfinite(fv)):
+            raise ValueError("integrand returned a non-finite value at a quadrature node")
+        products = (np.concatenate([rule.weights for rule in chunk]) * fv).tolist()
+        start = 0
+        for rule in chunk:
+            sums.append(math.fsum(products[start:start + rule.n]))
+            start += rule.n
+    return sums
 
 
 def apply(rule: QuadratureRule, f) -> float:
@@ -317,17 +342,9 @@ def apply(rule: QuadratureRule, f) -> float:
     ``f`` may be vectorized over arrays or scalar-only; non-finite values
     at any node raise.
     """
-    try:
-        fv = np.asarray(f(rule.nodes), dtype=float)
-        if fv.shape != rule.nodes.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        fv = np.array([float(f(x)) for x in rule.nodes])
-    if not np.all(np.isfinite(fv)):
-        raise ValueError("integrand returned a non-finite value at a quadrature node")
-    return math.fsum(rule.weights * fv)
+    return apply_each((rule,), f)[0]
 
 
 def weight_abs_sum(rule: QuadratureRule) -> float:
     """Sum of the absolute values of the quadrature weights."""
-    return float(math.fsum(np.abs(rule.weights)))
+    return math.fsum(np.abs(rule.weights).tolist())

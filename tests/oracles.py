@@ -12,6 +12,7 @@ import math
 
 import mpmath as mp
 import numpy as np
+import scipy.fft
 
 # 60 working digits: the terminating sum below has alternating terms that can
 # exceed the result by ~4^k, so double precision would lose everything long
@@ -160,6 +161,36 @@ def gauss_legendre_per_n(n: int):
     nodes = np.concatenate((x, -x[: n - half][::-1]))
     weights = np.concatenate((w, w[: n - half][::-1]))
     return nodes, weights
+
+
+def weighted_rule_per_n(family: str, n: int, moments):
+    """(nodes, weights) of the n-point weighted rule of a Chebyshev family,
+    built on its own from the moments m_0..m_{n-1}.
+
+    The one-rule point and transform code the package used before it
+    built the rules of a sweep together, kept verbatim: the chunked
+    builder must reproduce it bit for bit.
+    """
+    theta = _grid_angles(family, n)
+    nodes = np.cos(theta)
+    m = np.asarray(moments, dtype=float)
+    if family == "fejer1":
+        return nodes, scipy.fft.dct(m, type=3) / n
+    if family == "clenshaw-curtis":
+        nodes[0] = 1.0
+        nodes[-1] = -1.0
+        if n % 2 == 1:
+            nodes[(n - 1) // 2] = 0.0
+        w = scipy.fft.dct(m, type=1) / (n - 1)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        return nodes, w
+    u = np.zeros(n)
+    for parity in (0, 1):
+        idx = np.arange(parity, n, 2)
+        u[idx] = 2.0 * np.cumsum(m[idx])
+    u[::2] -= m[0]
+    return nodes, np.sin(theta) * scipy.fft.dst(u, type=1) / (n + 1.0)
 
 
 def _grid_angles(family: str, n: int) -> np.ndarray:

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chebquad import rules
 from chebquad.aliasing import (
     ReducedForm,
     alias_error,
+    alias_errors,
     alias_reduce,
     error_series_check,
     gauss_alias_error,
@@ -109,6 +111,17 @@ def test_alias_identities_small(family, weight, n=9):
                       abs(2 * _period(family, n) * p - j)}:
                 rec = alias_error(family, n, m, weight)
                 assert rec.residual <= 1e-11, (family, weight, m)
+
+
+@pytest.mark.parametrize("family", CHEBYSHEV_FAMILIES)
+def test_alias_errors_build_their_rule_once(family):
+    weight = WeightSpec(WeightKind.LOGJACOBI, 0.775, -0.502)  # extended moment route
+    rules._weighted_rule_cached.cache_clear()
+    table = alias_errors(family, 11, range(50), weight)
+    info = rules._weighted_rule_cached.cache_info()
+    assert (info.misses, info.hits) == (1, 0)
+    assert table == [alias_error(family, 11, m, weight) for m in range(50)]
+    assert max(rec.residual for rec in table) <= 1e-11
 
 
 def test_fejer1_zero_identity():

@@ -11,8 +11,10 @@ import oracles
 from chebquad.chebcore import (
     CHEBYSHEV_FAMILIES,
     Family,
+    _fejer2_moment_fold,
     cheb_expansion_coeffs,
     chebyshev_T,
+    interp_rules,
     interp_weights,
     make_points,
 )
@@ -173,6 +175,41 @@ def test_interp_weights_input_validation():
         interp_weights(Family.CLENSHAW_CURTIS, [1.0])
     with pytest.raises(ValueError):
         interp_weights(Family.GAUSS_LEGENDRE, [1.0, 2.0])
+
+
+def test_fejer2_moment_fold_is_prefix_consistent():
+    m = np.random.default_rng(3).standard_normal(300)
+    folded = _fejer2_moment_fold(m)
+    for n in range(1, 301):
+        assert np.array_equal(folded[:n], _fejer2_moment_fold(m[:n])), n
+
+
+@pytest.mark.parametrize("family", CHEBYSHEV_FAMILIES)
+def test_interp_rules_equal_one_grid_builds(family):
+    m = np.random.default_rng(5).standard_normal(80)
+    ns = [7, 2, 80, 33, 7, 64, 3]
+    points, weights, bounds = interp_rules(family, ns, m)
+    assert bounds.tolist() == [0, *np.cumsum(ns).tolist()]
+    for n, a, b in zip(ns, bounds, bounds[1:]):
+        assert np.array_equal(points[a:b], make_points(family, n)), n
+        assert np.array_equal(weights[a:b], interp_weights(family, m[:n])), n
+        nodes, w = oracles.weighted_rule_per_n(family, n, m[:n])
+        assert np.array_equal(points[a:b], nodes) and np.array_equal(weights[a:b], w), n
+
+
+def test_interp_rules_input_validation():
+    m = np.ones(10)
+    with pytest.raises(ValueError, match="need 11 moments"):
+        interp_rules(Family.FEJER1, [5, 11], m)
+    with pytest.raises(ValueError):
+        interp_rules(Family.CLENSHAW_CURTIS, [5, 1], m)
+    with pytest.raises(TypeError):
+        interp_rules(Family.FEJER2, [5, 2.5], m)
+    with pytest.raises(ValueError):
+        interp_rules(Family.FEJER1, [5], np.ones((2, 10)))
+    for family in CHEBYSHEV_FAMILIES:
+        points, weights, bounds = interp_rules(family, [], m)
+        assert len(points) == len(weights) == 0 and bounds.tolist() == [0]
 
 
 # --- expansion coefficients -------------------------------------------------

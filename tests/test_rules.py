@@ -5,6 +5,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from chebquad import rules
@@ -13,6 +15,7 @@ from chebquad.errors import NumericalFailure
 from chebquad.moments import WeightKind, WeightSpec, moments_for
 from chebquad.rules import (
     apply,
+    apply_each,
     build_weighted_rule,
     gauss_legendre,
     rule_for,
@@ -126,12 +129,13 @@ def test_gauss_batch_takes_unsorted_and_repeated_ns():
 
 
 def test_gauss_store_is_bounded_in_points():
-    store = rules._GaussLegendreStore(max_points=100)
-    first = store.rules([60, 30])
-    store.rules([50])  # 140 points: the least recently used rule, n = 60, goes
+    store = rules._RuleStore(max_points=100)
+    build = rules._gauss_legendre_rules
+    first = store.rules([60, 30], build)
+    store.rules([50], build)  # 140 points: the least recently used rule, n = 60, goes
     assert store.cache_info() == (0, 3, 100, 80)
-    assert store.rules([30])[0] is first[1]
-    assert store.rules([60])[0] is not first[0]
+    assert store.rules([30], build)[0] is first[1]
+    assert store.rules([60], build)[0] is not first[0]
     assert store.cache_info() == (1, 4, 100, 90)  # n = 60 back, n = 50 out
 
 
@@ -226,11 +230,59 @@ def test_rules_for_checks_every_n_first_and_builds_chebyshev_rules_lazily():
     with pytest.raises(ValueError):
         rules_for(Family.GAUSS_LEGENDRE, [5], JAC)
     rules._weighted_rule_cached.cache_clear()
-    sweep = rules_for(Family.CLENSHAW_CURTIS, [5, 6, 7], JAC)
+    # chunks of at most 2^14 points: [6000, 6001], then [6002, 5]
+    sweep = rules_for(Family.CLENSHAW_CURTIS, [6000, 6001, 6002, 5], JAC)
     assert rules._weighted_rule_cached.cache_info().misses == 0
-    assert next(sweep).n == 5
-    assert rules._weighted_rule_cached.cache_info().misses == 1
-    assert [r.n for r in sweep] == [6, 7]
+    first = next(sweep)
+    assert first.n == 6000
+    assert rules._weighted_rule_cached.cache_info().misses == 2
+    second = next(sweep)
+    assert second.n == 6001 and second.nodes.base is first.nodes.base
+    assert rules._weighted_rule_cached.cache_info().misses == 2
+    assert next(sweep).n == 6002
+    assert rules._weighted_rule_cached.cache_info().misses == 4
+    assert [r.n for r in sweep] == [5]
+    assert rules._weighted_rule_cached.cache_info().currsize <= rules._CHUNK_POINTS
+
+
+def _assert_weighted_per_n_bits(rule):
+    moments = moments_for(rule.weight, rule.n - 1).values
+    nodes, weights = oracles.weighted_rule_per_n(rule.family, rule.n, moments)
+    assert np.array_equal(rule.nodes, nodes), rule.n
+    assert np.array_equal(rule.weights, weights), rule.n
+
+
+SWEEP_WEIGHTS = [
+    WeightSpec(WeightKind.JACOBI, -0.3, 0.2),
+    WeightSpec(WeightKind.LOGJACOBI, -0.6, -0.5),
+    WeightSpec(WeightKind.JACOBI, 2.062, 1.478),  # extended moment route
+]
+
+
+@pytest.mark.parametrize("family", CHEBYSHEV_FAMILIES)
+@pytest.mark.parametrize("weight", SWEEP_WEIGHTS, ids=["jacobi", "logjacobi", "extended"])
+def test_weighted_sweep_is_bit_identical_to_one_rule_builds(family, weight):
+    rules._weighted_rule_cached.cache_clear()
+    ns = list(range(2, 1001))
+    built = list(rules_for(family, ns, weight))
+    assert [r.n for r in built] == ns
+    for rule in built:
+        assert not (rule.nodes.flags.writeable or rule.weights.flags.writeable)
+        _assert_weighted_per_n_bits(rule)
+
+
+@given(ns=st.lists(st.integers(2, 3000), min_size=1, max_size=25),
+       family=st.sampled_from(CHEBYSHEV_FAMILIES),
+       weight=st.sampled_from(SWEEP_WEIGHTS[:2]))
+@settings(max_examples=30, deadline=None)
+def test_weighted_sweep_takes_unsorted_and_repeated_ns(ns, family, weight):
+    rules._weighted_rule_cached.cache_clear()
+    built = list(rules_for(family, ns, weight))
+    assert [r.n for r in built] == ns
+    for rule in built:
+        _assert_weighted_per_n_bits(rule)
+    f = lambda x: np.abs(x - 0.5) ** 1.6
+    assert apply_each(built, f) == [math.fsum(r.weights * f(r.nodes)) for r in built]
 
 
 # --- applying rules -----------------------------------------------------------
@@ -248,6 +300,31 @@ def test_apply_rejects_non_finite_values():
     rule = gauss_legendre(4)
     with pytest.raises(ValueError):
         apply(rule, lambda x: np.full_like(x, np.nan))
+
+
+def test_apply_each_equals_per_rule_sums():
+    sweep = list(rules_for(Family.FEJER2, range(2, 1001), LOG))
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return np.exp(x) * np.abs(x - 0.3) ** 0.7
+
+    values = apply_each(sweep, f)
+    assert len(calls) == len(list(rules._chunks(sweep, lambda r: r.n, rules._CHUNK_POINTS)))
+    assert max(calls) <= rules._CHUNK_POINTS
+    assert values == [math.fsum(r.weights * f(r.nodes)) for r in sweep]
+    scalar = [math.fsum(r.weights * np.array([math.exp(x) for x in r.nodes])) for r in sweep]
+    assert apply_each(sweep, math.exp) == scalar  # math.exp rejects arrays
+    assert apply(sweep[40], np.cos) == apply_each(sweep, np.cos)[40]
+
+
+def test_apply_each_rejects_non_finite_values_in_a_later_chunk():
+    first, second = rules_for(Family.FEJER1, [10000, 10001], JAC)  # one chunk each
+    bad = second.nodes[5]
+    assert bad not in first.nodes
+    with pytest.raises(ValueError, match="non-finite"):
+        apply_each([first, second], lambda x: np.where(x == bad, np.inf, 1.0))
 
 
 # --- weight sums (stability of the rules) -------------------------------------
