@@ -16,16 +16,25 @@ interpolating f on the grid and m_j the modified moments.  interp_rules
 gives the x_i and w_i of many grids from one moment vector: w is the
 transpose of the coefficient transform applied to m, one DCT/DST per
 grid, while one cos (and sin) runs over the angles of all the grids.
-make_points and interp_weights are its one-grid case.  Expansion
-coefficients a_j follow the primed convention (first term halved):
-f = a_0/2 + sum_{j>=1} a_j T_j.
+interp_weights is its one-grid case, and make_points shares its angle
+code without the transform.  Expansion coefficients a_j follow the
+primed convention (first term halved): f = a_0/2 + sum_{j>=1} a_j T_j.
+
+The four real transforms (DCT-I, DST-I, DCT-II, DCT-III, unnormalized as
+in scipy.fft) run on numpy.fft.rfft/irfft and follow the algorithms of
+pocketfft, the FFT library inside both numpy.fft and scipy.fft, step for
+step: the same real FFT of the same input, the same pre- and post-passes
+and the same twiddle factors.  So every weight is bit for bit what
+scipy.fft gives, without importing scipy.
 """
 
+import collections
 import enum
+import math
 import operator
+import threading
 
 import numpy as np
-import scipy.fft
 
 __all__ = [
     "Family",
@@ -66,11 +75,39 @@ def chebyshev_T(j: int, x):
     return float(vals) if np.isscalar(x) or arr.ndim == 0 else vals
 
 
+def _grids(family: Family, ns) -> tuple:
+    """The family, the checked ns and the angles theta and points cos(theta)
+    of their grids, concatenated, with each grid's bounds and size per angle."""
+    family = Family(family)
+    if family not in CHEBYSHEV_FAMILIES:
+        raise ValueError(f"Chebyshev point sets only, got {family}")
+    ns = [operator.index(n) for n in ns]
+    for n in ns:
+        if n < 1:
+            raise ValueError(f"n must be positive, got {n}")
+        if family is Family.CLENSHAW_CURTIS and n < 2:
+            raise ValueError("Clenshaw-Curtis needs n >= 2")
+    bounds = np.cumsum([0, *ns])  # grid i at [bounds[i], bounds[i+1])
+    first, last = bounds[:-1], bounds[1:] - 1
+    sizes = np.repeat(np.asarray(ns, dtype=float), ns)
+    j = np.arange(bounds[-1]) - np.repeat(first, ns)  # 0..n-1 in each grid
+    if family is Family.FEJER1:
+        theta = (2.0 * (j + 1) - 1.0) * np.pi / (2.0 * sizes)
+    elif family is Family.FEJER2:
+        theta = (j + 1) * np.pi / (sizes + 1.0)
+    else:
+        theta = j * np.pi / (sizes - 1.0)
+    points = np.cos(theta)
+    if family is Family.CLENSHAW_CURTIS:  # pin the ends, and odd n's midpoint, exactly
+        points[first], points[last] = 1.0, -1.0
+        points[((first + last) // 2)[(last - first) % 2 == 0]] = 0.0
+    return family, ns, theta, points, bounds, sizes
+
+
 def make_points(family: Family, n: int) -> np.ndarray:
-    """The n points of a Chebyshev family, in decreasing order: interp_rules
-    with one grid (n >= 1; Clenshaw-Curtis needs n >= 2)."""
-    n = operator.index(n)
-    return interp_rules(family, (n,), np.zeros(max(n, 0)))[0]
+    """The n points of a Chebyshev family, in decreasing order, as
+    interp_rules places them (n >= 1; Clenshaw-Curtis needs n >= 2)."""
+    return _grids(family, (n,))[3]
 
 
 def _fejer2_moment_fold(m: np.ndarray) -> np.ndarray:
@@ -86,9 +123,154 @@ def _fejer2_moment_fold(m: np.ndarray) -> np.ndarray:
     return u
 
 
+# pi as pocketfft spells it, rounded to long double, for the twiddle angles
+_PI_LONG = np.longdouble("3.141592653589793238462643383279502884197")
+
+
+def _build_twiddle(n: int) -> np.ndarray:
+    """tw[i] = cos(2 pi (i+1) / 4n), i = 0..n-1, as pocketfft's sincos_2pibyn(4n)
+    forms it: root x = e^(2 pi i x / 4n) is the product of an entry of two
+    tables of about sqrt(2n) roots each, and a table's root comes from the
+    C library's cos and sin of 8x (or 8n - 8x, its first-octant mirror)
+    times pi/4 / 4n, that step rounded from long double."""
+    n4 = 4 * n
+    ang = float(np.longdouble(0.25) * _PI_LONG / np.longdouble(n4))
+    shift = 1
+    while 1 << (2 * shift) < 2 * n + 1:
+        shift += 1
+    size = 1 << shift
+    low = min(size, n + 1)  # v1[x] for x < size, then v2[j] at x = j * size; x <= n
+    re, im = [], []
+    for x in (*range(low), *range(0, n + 1, size)):
+        x8 = 8 * x
+        if x8 < n4:
+            re.append(math.cos(x8 * ang))
+            im.append(math.sin(x8 * ang))
+        elif x8 < 2 * n4:
+            re.append(math.sin((2 * n4 - x8) * ang))
+            im.append(math.cos((2 * n4 - x8) * ang))
+        else:  # x = n, a quarter turn: (-sin 0, cos 0)
+            re.append(-0.0)
+            im.append(1.0)
+    re, im = np.array(re), np.array(im)
+    # root x = v1[x % size] * v2[x // size]; the real part of the product
+    table = np.multiply.outer(re[low:], re[:low]) - np.multiply.outer(im[low:], im[:low])
+    return table.ravel()[1:n + 1].copy()
+
+
+class _TwiddleStore:
+    """_build_twiddle(n) by n, bounded in floats: once the tables hold more
+    than ``max_floats``, the least recently used go."""
+
+    def __init__(self, max_floats: int):
+        self.max_floats = max_floats
+        self._lock = threading.Lock()
+        self._tables: collections.OrderedDict = collections.OrderedDict()
+        self._floats = 0
+
+    def __call__(self, n: int) -> np.ndarray:
+        with self._lock:
+            tw = self._tables.get(n)
+            if tw is not None:
+                self._tables.move_to_end(n)
+                return tw
+        tw = _build_twiddle(n)
+        tw.setflags(write=False)
+        with self._lock:
+            if n not in self._tables:
+                self._tables[n] = tw
+                self._floats += n
+            while self._floats > self.max_floats:
+                self._floats -= len(self._tables.popitem(last=False)[1])
+        return tw
+
+
+# One n = 100..1000 sweep needs 495 550 twiddle floats, 4 MB.
+_twiddle = _TwiddleStore(1 << 19)
+
+
+def _dct1(c: np.ndarray) -> np.ndarray:
+    """scipy.fft.dct(c, type=1), len(c) >= 2: the real FFT of the even extension."""
+    return np.fft.rfft(np.concatenate((c, c[-2:0:-1]))).real
+
+
+def _dst1(c: np.ndarray) -> np.ndarray:
+    """scipy.fft.dst(c, type=1): the real FFT of the odd extension [0, c, 0, -c reversed]."""
+    n = len(c)
+    t = np.empty(2 * n + 2)
+    t[0] = t[n + 1] = c[0] * 0.0  # pocketfft's zero, signed like c[0]
+    t[1:n + 1] = c
+    np.negative(c[::-1], out=t[n + 2:])
+    return -np.fft.rfft(t).imag[1:n + 1]
+
+
+def _dct3(c: np.ndarray) -> np.ndarray:
+    """scipy.fft.dct(c, type=3): pocketfft's type-3 pass.
+
+    For k = 1..(n+1)/2-1 and kc = n-k, (c_k, c_kc) become
+    (tw_{k-1} t2 + tw_{kc-1} t1, tw_{k-1} t1 - tw_{kc-1} t2) with
+    t1 = c_k + c_kc and t2 = c_k - c_kc, an even n's middle term is scaled
+    by 2 tw_{n/2-1}, then the real FFT, read in halfcomplex order
+    [R_0, R_1, I_1, R_2, ...], turns each pair (R_j, I_j) into
+    (R_j - I_j, I_j + R_j).
+    """
+    n = len(c)
+    tw = _twiddle(n)
+    h = (n + 1) // 2
+    x = np.array(c, dtype=float)
+    a, b = x[1:h], x[n - 1:n - h:-1]
+    ta, tb = tw[:h - 1], tw[n - 2:n - h - 1:-1]
+    t1, t2 = a + b, a - b
+    np.multiply(ta, t2, out=a)
+    a += tb * t1
+    np.multiply(ta, t1, out=b)
+    b -= tb * t2
+    if n % 2 == 0:
+        x[h] *= 2.0 * tw[h - 1]
+    v = np.fft.rfft(x).view(float)  # [R_0, 0, R_1, I_1, ...]
+    v[1] = v[0]
+    re, im = v[2:n:2], v[3:n + 1:2]
+    diff = re - im
+    im += re
+    re[...] = diff
+    return v[1:n + 1]
+
+
+def _dct2(c: np.ndarray) -> np.ndarray:
+    """scipy.fft.dct(c, type=2): pocketfft's type-2 pass, the type-3 one reversed.
+
+    c_0 (and an even n's c_{n-1}) doubled and each pair (c_k, c_k+1), k
+    odd, turned into (c_k + c_k+1, c_k+1 - c_k) give the halfcomplex
+    input of an inverse real FFT; then for k = 1..(n+1)/2-1 and kc = n-k,
+    (c_k, c_kc) become ((t1 + t2)/2, (t1 - t2)/2) with
+    t1 = tw_{k-1} c_kc + tw_{kc-1} c_k and t2 = tw_{k-1} c_k - tw_{kc-1} c_kc,
+    and an even n's middle term is scaled by tw_{n/2-1}.
+    """
+    n = len(c)
+    tw = _twiddle(n)
+    h = (n + 1) // 2
+    z = np.zeros(n // 2 + 1, dtype=complex)
+    hc = z.view(float)  # [R_0, 0, R_1, I_1, ...]
+    hc[0] = 2.0 * c[0]
+    re, im = c[1:n - 1:2], c[2:n:2]
+    np.add(re, im, out=hc[2:n:2])
+    np.subtract(im, re, out=hc[3:n + 1:2])
+    if n % 2 == 0:
+        hc[n] = 2.0 * c[n - 1]
+    y = np.fft.irfft(z, n, norm="forward")  # unscaled
+    a, b = y[1:h], y[n - 1:n - h:-1]
+    ta, tb = tw[:h - 1], tw[n - 2:n - h - 1:-1]
+    t1 = ta * b + tb * a
+    t2 = ta * a - tb * b
+    a[...] = 0.5 * (t1 + t2)
+    b[...] = 0.5 * (t1 - t2)
+    if n % 2 == 0:
+        y[h] *= tw[h - 1]
+    return y
+
+
 # The transform of each family's moments (the Fejer-2 ones folded first)
-_TRANSFORMS = {Family.FEJER1: (scipy.fft.dct, 3), Family.CLENSHAW_CURTIS: (scipy.fft.dct, 1),
-               Family.FEJER2: (scipy.fft.dst, 1)}
+_TRANSFORMS = {Family.FEJER1: _dct3, Family.CLENSHAW_CURTIS: _dct1, Family.FEJER2: _dst1}
 
 
 def interp_rules(family: Family, ns, m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -109,45 +291,24 @@ def interp_rules(family: Family, ns, m) -> tuple[np.ndarray, np.ndarray, np.ndar
     m = np.asarray(m, dtype=float)
     if m.ndim != 1:
         raise ValueError("moments must be a 1-D array")
-    family = Family(family)
-    if family not in CHEBYSHEV_FAMILIES:
-        raise ValueError(f"Chebyshev point sets only, got {family}")
-    ns = [operator.index(n) for n in ns]
-    for n in ns:
-        if n < 1:
-            raise ValueError(f"n must be positive, got {n}")
-        if family is Family.CLENSHAW_CURTIS and n < 2:
-            raise ValueError("Clenshaw-Curtis needs n >= 2")
+    family, ns, theta, points, bounds, sizes = _grids(family, ns)
     top = max(ns, default=0)
     if len(m) < top:
         raise ValueError(f"{top}-point rules need {top} moments, got {len(m)}")
-    bounds = np.cumsum([0, *ns])  # grid i at [bounds[i], bounds[i+1])
-    first, last = bounds[:-1], bounds[1:] - 1
-    sizes = np.repeat(np.asarray(ns, dtype=float), ns)
-    j = np.arange(bounds[-1]) - np.repeat(first, ns)  # 0..n-1 in each grid
-    if family is Family.FEJER1:
-        theta = (2.0 * (j + 1) - 1.0) * np.pi / (2.0 * sizes)
-    elif family is Family.FEJER2:
-        theta = (j + 1) * np.pi / (sizes + 1.0)
+    if family is Family.FEJER2:
         m = _fejer2_moment_fold(m[:top])
-    else:
-        theta = j * np.pi / (sizes - 1.0)
-    transform, kind = _TRANSFORMS[family]
+    transform = _TRANSFORMS[family]
     w = np.empty(bounds[-1])
     for n, a, b in zip(ns, bounds.tolist(), bounds[1:].tolist()):
-        w[a:b] = transform(m[:n], type=kind)
+        w[a:b] = transform(m[:n])
     if family is Family.FEJER1:
         w /= sizes
     elif family is Family.CLENSHAW_CURTIS:
         w /= sizes - 1.0
-        w[first] *= 0.5
-        w[last] *= 0.5
+        w[bounds[:-1]] *= 0.5
+        w[bounds[1:] - 1] *= 0.5
     else:
         w = np.sin(theta) * w / (sizes + 1.0)
-    points = np.cos(theta)
-    if family is Family.CLENSHAW_CURTIS:  # pin the ends, and odd n's midpoint, exactly
-        points[first], points[last] = 1.0, -1.0
-        points[((first + last) // 2)[(last - first) % 2 == 0]] = 0.0
     return points, w, bounds
 
 
@@ -182,5 +343,5 @@ def cheb_expansion_coeffs(f, count: int, oversample: int) -> np.ndarray:
     if oversample < 4 * count:
         raise ValueError(f"oversample must be >= 4*count = {4 * count}, got {oversample}")
     fv = np.asarray(f(make_points(Family.FEJER1, oversample)), dtype=float)
-    a = scipy.fft.dct(fv, type=2) / oversample
+    a = _dct2(fv) / oversample
     return a[:count].copy()

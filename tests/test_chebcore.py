@@ -1,23 +1,38 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as npcheb
 
 import oracles
+from chebquad import WeightKind, WeightSpec, moments_for
 from chebquad.chebcore import (
     CHEBYSHEV_FAMILIES,
     Family,
+    _dct1,
+    _dct2,
+    _dct3,
+    _dst1,
     _fejer2_moment_fold,
+    _build_twiddle,
+    _TwiddleStore,
     cheb_expansion_coeffs,
     chebyshev_T,
     interp_rules,
     interp_weights,
     make_points,
 )
+
+
+def _bits(a):
+    """The float64 bit patterns of a, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
 
 
 # --- point sets -----------------------------------------------------------
@@ -55,6 +70,14 @@ def test_clenshaw_curtis_points_pin_special_values(n):
     assert np.all(np.diff(pts) < 0.0)
 
 
+@pytest.mark.parametrize("family", CHEBYSHEV_FAMILIES)
+def test_make_points_equal_interp_rules_points(family):
+    ns = range(1 if family is not Family.CLENSHAW_CURTIS else 2, 301)
+    points, _, bounds = interp_rules(family, ns, np.random.default_rng(8).standard_normal(300))
+    for n, a, b in zip(ns, bounds, bounds[1:]):
+        assert np.array_equal(_bits(make_points(family, n)), _bits(points[a:b])), n
+
+
 def test_make_points_rejects_bad_requests():
     with pytest.raises(ValueError):
         make_points(Family.CLENSHAW_CURTIS, 1)
@@ -64,6 +87,62 @@ def test_make_points_rejects_bad_requests():
         make_points(Family.GAUSS_LEGENDRE, 5)
     with pytest.raises(TypeError):
         make_points(Family.FEJER1, 2.5)
+
+
+# --- transforms ---------------------------------------------------------------
+
+
+# Every length up to 2048, powers of two and their neighbours beyond, and a
+# prime, 10007, that pocketfft transforms with Bluestein's algorithm.
+_TRANSFORM_SIZES = [*range(1, 2049), 4096, 4097, 10007]
+
+
+@pytest.mark.parametrize("ours, kind, reference", [
+    (_dct1, 1, scipy.fft.dct), (_dst1, 1, scipy.fft.dst),
+    (_dct2, 2, scipy.fft.dct), (_dct3, 3, scipy.fft.dct),
+], ids=["dct1", "dst1", "dct2", "dct3"])
+def test_transforms_equal_scipy_fft_bit_for_bit(ours, kind, reference):
+    rng = np.random.default_rng(2013)
+    moments = moments_for(WeightSpec(WeightKind.LOGJACOBI, -0.6, -0.5), 2047).values
+    for n in _TRANSFORM_SIZES:
+        if ours is _dct1 and n < 2:
+            continue
+        inputs = [rng.standard_normal(n),
+                  rng.standard_normal(n) * np.exp(rng.uniform(-30.0, 30.0, n)),  # 60 e-folds
+                  -np.zeros(n)]
+        if n <= len(moments):
+            inputs.append(moments[:n])
+        for c in inputs:
+            before = c.copy()
+            assert np.array_equal(_bits(ours(c)), _bits(reference(c, type=kind))), n
+            assert np.array_equal(_bits(c), _bits(before)), n  # the input is left alone
+
+
+def test_twiddle_store_is_bounded_in_floats():
+    store = _TwiddleStore(max_floats=100)
+    first = store(40)
+    assert store(40) is first
+    store(50)
+    assert list(store._tables) == [40, 50]
+    store(40)  # now the most recently used
+    store(30)  # 120 floats: n = 50 goes
+    assert list(store._tables) == [40, 30] and store._floats == 70
+    assert not first.flags.writeable
+
+
+def test_twiddle_store_keeps_its_count_under_threads():
+    store = _TwiddleStore(max_floats=2000)
+    ns = np.random.default_rng(9).integers(1, 300, 400).tolist()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            tables = [future.result(timeout=60) for future in [pool.submit(store, n) for n in ns]]
+    finally:
+        sys.setswitchinterval(interval)
+    for n, tw in zip(ns, tables):
+        assert np.array_equal(_bits(tw), _bits(_build_twiddle(n))), n
+    assert store._floats == sum(map(len, store._tables.values())) <= 2000
 
 
 # --- polynomial evaluation -------------------------------------------------

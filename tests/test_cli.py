@@ -139,6 +139,12 @@ def test_import_leaves_out_scipy_signal_and_stats():
     assert run_fresh("-c", probe).stdout.decode().strip() == "[]"
 
 
+def test_import_loads_no_scipy():
+    probe = ("import sys, chebquad, chebquad.cli; print(sorted(m for m in sys.modules"
+             " if m == 'scipy' or m.startswith('scipy.')))")
+    assert run_fresh("-c", probe).stdout.decode().strip() == "[]"
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "moments.csv"
     code, out, _ = run(capsys, "moments", "--weight", "jacobi:0.2:-0.3",
