@@ -25,7 +25,9 @@ in scipy.fft) run on numpy.fft.rfft/irfft and follow the algorithms of
 pocketfft, the FFT library inside both numpy.fft and scipy.fft, step for
 step: the same real FFT of the same input, the same pre- and post-passes
 and the same twiddle factors.  So every weight is bit for bit what
-scipy.fft gives, without importing scipy.
+scipy.fft gives, without importing scipy.  DCT-II and DCT-III keep their
+twiddle tables in _Store, the package's one bounded least-recently-used
+store, which also keeps the rules module's built rules.
 """
 
 import collections
@@ -33,6 +35,7 @@ import enum
 import math
 import operator
 import threading
+from typing import Callable
 
 import numpy as np
 
@@ -155,38 +158,70 @@ def _build_twiddle(n: int) -> np.ndarray:
     re, im = np.array(re), np.array(im)
     # root x = v1[x % size] * v2[x // size]; the real part of the product
     table = np.multiply.outer(re[low:], re[:low]) - np.multiply.outer(im[low:], im[:low])
-    return table.ravel()[1:n + 1].copy()
+    tw = table.ravel()[1:n + 1].copy()
+    tw.setflags(write=False)
+    return tw
 
 
-class _TwiddleStore:
-    """_build_twiddle(n) by n, bounded in floats: once the tables hold more
-    than ``max_floats``, the least recently used go."""
+_CacheInfo = collections.namedtuple("CacheInfo", "hits misses maxsize currsize")
 
-    def __init__(self, max_floats: int):
-        self.max_floats = max_floats
+
+class _Store:
+    """Values by key, bounded in total size: once the values kept add up
+    to more than ``max_size``, each counted as ``size(value)``, the least
+    recently used go.
+
+    cache_info() counts every key looked up as one hit or one miss, as
+    functools.lru_cache does; its maxsize and currsize are in size units.
+    """
+
+    def __init__(self, max_size: int, size: Callable = len):
+        self.max_size = max_size
+        self._size = size
         self._lock = threading.Lock()
-        self._tables: collections.OrderedDict = collections.OrderedDict()
-        self._floats = 0
+        self.cache_clear()
 
-    def __call__(self, n: int) -> np.ndarray:
+    def get(self, keys: list, build: Callable[[list], dict]) -> list:
+        """The values for keys, in order; build(missing keys) makes the
+        missing ones in one call and returns them by key."""
         with self._lock:
-            tw = self._tables.get(n)
-            if tw is not None:
-                self._tables.move_to_end(n)
-                return tw
-        tw = _build_twiddle(n)
-        tw.setflags(write=False)
+            found = {key: self._values.get(key) for key in keys}
+            missing = []
+            for key, value in found.items():
+                if value is None:
+                    missing.append(key)
+                else:
+                    self._values.move_to_end(key)
+            self._misses += len(missing)
+            self._hits += len(keys) - len(missing)
+        built = build(missing) if missing else {}
+        found.update(built)
         with self._lock:
-            if n not in self._tables:
-                self._tables[n] = tw
-                self._floats += n
-            while self._floats > self.max_floats:
-                self._floats -= len(self._tables.popitem(last=False)[1])
-        return tw
+            for key in missing:
+                if key not in self._values:
+                    self._values[key] = built[key]
+                    self._total += self._size(built[key])
+            while self._total > self.max_size:
+                self._total -= self._size(self._values.popitem(last=False)[1])
+        return [found[key] for key in keys]
+
+    def cache_info(self) -> _CacheInfo:
+        with self._lock:
+            return _CacheInfo(self._hits, self._misses, self.max_size, self._total)
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._values: collections.OrderedDict = collections.OrderedDict()
+            self._total = self._hits = self._misses = 0
 
 
-# One n = 100..1000 sweep needs 495 550 twiddle floats, 4 MB.
-_twiddle = _TwiddleStore(1 << 19)
+def _twiddles(ns: list) -> dict:
+    return {n: _build_twiddle(n) for n in ns}
+
+
+# _build_twiddle(n) by n, bounded in floats.  One n = 100..1000 sweep needs
+# 495 550 twiddle floats, 4 MB.
+_twiddle = _Store(1 << 19)
 
 
 def _dct1(c: np.ndarray) -> np.ndarray:
@@ -215,7 +250,7 @@ def _dct3(c: np.ndarray) -> np.ndarray:
     (R_j - I_j, I_j + R_j).
     """
     n = len(c)
-    tw = _twiddle(n)
+    tw = _twiddle.get([n], _twiddles)[0]
     h = (n + 1) // 2
     x = np.array(c, dtype=float)
     a, b = x[1:h], x[n - 1:n - h:-1]
@@ -247,7 +282,7 @@ def _dct2(c: np.ndarray) -> np.ndarray:
     and an even n's middle term is scaled by tw_{n/2-1}.
     """
     n = len(c)
-    tw = _twiddle(n)
+    tw = _twiddle.get([n], _twiddles)[0]
     h = (n + 1) // 2
     z = np.zeros(n // 2 + 1, dtype=complex)
     hc = z.view(float)  # [R_0, 0, R_1, I_1, ...]

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .special import beta as beta_fn
-from .special import digamma, phi_combo
+from .special import digamma
 
 __all__ = [
     "WeightKind",
@@ -158,30 +158,17 @@ def moment_asymptotic(weight: WeightSpec, k: int) -> float:
     return left + right
 
 
-def _jacobi_seeds(alpha: float, beta: float) -> tuple[float, float]:
-    m0 = 2.0 ** (alpha + beta + 1.0) * beta_fn(alpha + 1.0, beta + 1.0)
-    m1 = m0 * (beta - alpha) / (alpha + beta + 2.0)
-    return m0, m1
-
-
-def _log_seeds(alpha: float, beta: float) -> tuple[float, float]:
-    g0 = -(2.0 ** (alpha + beta + 1.0)) * phi_combo(alpha, beta + 1.0)
-    g1 = -(2.0 ** (alpha + beta + 1.0)) * (
-        2.0 * phi_combo(alpha, beta + 2.0) - phi_combo(alpha, beta + 1.0)
-    )
-    return g0, g1
-
-
-def _mp_seeds(alpha, beta, log: bool):
-    """The closed forms of _jacobi_seeds (or _log_seeds when log) in mpmath,
-    at its working precision."""
-    scale = mp.mpf(2) ** (alpha + beta + 1)
+def _seeds(alpha, beta, log: bool, beta_fn, psi) -> tuple:
+    """The closed forms of M_0, M_1 (G_0, G_1 when log), in the arithmetic
+    of the arguments: float64 with special.beta and special.digamma, or
+    mpf at mpmath's working precision with mp.beta and mp.digamma."""
+    scale = 2 ** (alpha + beta + 1)
     if not log:
-        m0 = scale * mp.beta(alpha + 1, beta + 1)
+        m0 = scale * beta_fn(alpha + 1, beta + 1)
         return m0, m0 * (beta - alpha) / (alpha + beta + 2)
 
-    def phi(c):  # phi_combo(alpha, c)
-        return mp.beta(alpha + 1, c) * (mp.digamma(alpha + c + 1) - mp.digamma(c))
+    def phi(c):  # B(alpha+1, c) [Psi(alpha+c+1) - Psi(c)]
+        return beta_fn(alpha + 1, c) * (psi(alpha + c + 1) - psi(c))
 
     return -scale * phi(beta + 1), -scale * (2 * phi(beta + 2) - phi(beta + 1))
 
@@ -203,6 +190,13 @@ def _forward(alpha, beta, K: int, v0, v1, m=None) -> list:
     return v
 
 
+def _table(alpha, beta, K: int, log: bool, beta_fn, psi) -> np.ndarray:
+    """M_0..M_K (G_0..G_K when log) run in the arithmetic of the arguments, as float64."""
+    m = _forward(alpha, beta, K, *_seeds(alpha, beta, False, beta_fn, psi))
+    v = _forward(alpha, beta, K, *_seeds(alpha, beta, True, beta_fn, psi), m) if log else m
+    return np.array(v, dtype=float)
+
+
 def _values(alpha: float, beta: float, K: int, log: bool) -> tuple[np.ndarray, str, float]:
     """M_0..M_K (G_0..G_K when log), the route that made them and its error bound.
 
@@ -216,14 +210,11 @@ def _values(alpha: float, beta: float, K: int, log: bool) -> tuple[np.ndarray, s
         growth = 2.0 * abs(alpha - beta) * math.log10(K + 2)
         digits = 20 + math.ceil(growth)
         with mp.workdps(digits):
-            a, b = mp.mpf(alpha), mp.mpf(beta)
-            m = _forward(a, b, K, *_mp_seeds(a, b, False))
-            v = np.array(_forward(a, b, K, *_mp_seeds(a, b, True), m) if log else m, dtype=float)
+            v = _table(mp.mpf(alpha), mp.mpf(beta), K, log, mp.beta, mp.digamma)
         # float64 rounding plus K steps of working-precision error grown by 10^growth
         method, est = "extended", 2.0**-53 + 10.0 ** (math.log10(K) + growth - digits)
     else:
-        m = _forward(alpha, beta, K, *_jacobi_seeds(alpha, beta))
-        v = np.array(_forward(alpha, beta, K, *_log_seeds(alpha, beta), m) if log else m)
+        v = _table(alpha, beta, K, log, beta_fn, digamma)
         method, est = "forward", 2e-16
     # |v_k| <= |v_0|: the weight has one sign and |T_k| <= 1
     if not math.isfinite(v[0]):

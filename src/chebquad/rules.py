@@ -19,20 +19,18 @@ Sweeps run in chunks of at most _CHUNK_POINTS points (half as many
 Gauss-Legendre half-nodes), which bounds their working set.  rules_for
 builds a weighted sweep lazily, one chunk per step, from one moment
 table; apply_each calls the integrand once per chunk.  Built rules are
-kept in two stores bounded in total points: the Gauss-Legendre one holds
-a whole n = 10..1000 sweep, the weighted one a chunk.
+kept in two chebcore._Store instances bounded in total points: the
+Gauss-Legendre one holds a whole n = 10..1000 sweep, the weighted one a chunk.
 """
 
-import collections
 import math
 import operator
-import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .chebcore import CHEBYSHEV_FAMILIES, Family, interp_rules
+from .chebcore import CHEBYSHEV_FAMILIES, Family, _Store, interp_rules
 from .errors import NumericalFailure
 from .moments import UNIT_WEIGHT, WeightSpec, moments_for
 
@@ -73,6 +71,7 @@ def _as_ns(ns, least: int) -> list[int]:
 
 
 _CHUNK_POINTS = 1 << 14  # points per chunk of a sweep
+_points = operator.attrgetter("n")  # of a rule
 
 
 def _chunks(items: Iterable, size, limit: int) -> Iterator[list]:
@@ -201,60 +200,10 @@ def _gauss_legendre_rules(ns: list[int]) -> dict[int, QuadratureRule]:
     return rules
 
 
-_CacheInfo = collections.namedtuple("CacheInfo", "hits misses maxsize currsize")
-
-
-class _RuleStore:
-    """Rules by key, bounded in total points: once the rules hold more than
-    ``max_points`` nodes, the least recently used go.
-
-    cache_info() counts every rule looked up as one hit or one miss, as
-    functools.lru_cache does; its maxsize and currsize are in points.
-    """
-
-    def __init__(self, max_points: int):
-        self.max_points = max_points
-        self._lock = threading.Lock()
-        self.cache_clear()
-
-    def rules(self, keys: list, build: Callable[[list], dict]) -> list[QuadratureRule]:
-        """The rules for keys, in order; build(missing keys) makes the
-        missing ones in one call and returns them by key."""
-        with self._lock:
-            found = {key: self._rules.get(key) for key in keys}
-            missing = []
-            for key, rule in found.items():
-                if rule is None:
-                    missing.append(key)
-                else:
-                    self._rules.move_to_end(key)
-            self._misses += len(missing)
-            self._hits += len(keys) - len(missing)
-        built = build(missing) if missing else {}
-        found.update(built)
-        with self._lock:
-            for key in missing:
-                if key not in self._rules:
-                    self._rules[key] = built[key]
-                    self._points += built[key].n
-            while self._points > self.max_points:
-                self._points -= self._rules.popitem(last=False)[1].n
-        return [found[key] for key in keys]
-
-    def cache_info(self) -> _CacheInfo:
-        with self._lock:
-            return _CacheInfo(self._hits, self._misses, self.max_points, self._points)
-
-    def cache_clear(self) -> None:
-        with self._lock:
-            self._rules: collections.OrderedDict = collections.OrderedDict()
-            self._points = self._hits = self._misses = 0
-
-
 # Gauss-Legendre rules by n.
-_gauss_legendre_cached = _RuleStore(_GAUSS_STORE_POINTS)
+_gauss_legendre_cached = _Store(_GAUSS_STORE_POINTS, size=_points)
 # Weighted rules by (family, n, weight).
-_weighted_rule_cached = _RuleStore(_CHUNK_POINTS)
+_weighted_rule_cached = _Store(_CHUNK_POINTS, size=_points)
 
 
 def gauss_legendre(n: int) -> QuadratureRule:
@@ -264,7 +213,7 @@ def gauss_legendre(n: int) -> QuadratureRule:
     symmetric about 0 by construction); weights are
     2 / ((1 - x^2) P_n'(x)^2).  n must be an integer (operator.index).
     """
-    return _gauss_legendre_cached.rules(_as_ns((n,), 1), _gauss_legendre_rules)[0]
+    return _gauss_legendre_cached.get(_as_ns((n,), 1), _gauss_legendre_rules)[0]
 
 
 def _weighted_rules(family: Family, ns: list[int], weight: WeightSpec) -> Iterator[QuadratureRule]:
@@ -278,7 +227,7 @@ def _weighted_rules(family: Family, ns: list[int], weight: WeightSpec) -> Iterat
                 for key, n, a, b in zip(keys, chunk, bounds, bounds[1:])}
 
     for chunk in _chunks(ns, lambda n: n, _CHUNK_POINTS):
-        yield from _weighted_rule_cached.rules([(family, n, weight) for n in chunk], build)
+        yield from _weighted_rule_cached.get([(family, n, weight) for n in chunk], build)
 
 
 def build_weighted_rule(family: Family, n: int, weight: WeightSpec) -> QuadratureRule:
@@ -304,7 +253,7 @@ def rules_for(family: Family, ns: Iterable[int], weight: WeightSpec) -> Iterator
     if family is Family.GAUSS_LEGENDRE:
         if weight != UNIT_WEIGHT:
             raise ValueError("Gauss-Legendre handles only the unit weight jacobi:0:0")
-        return iter(_gauss_legendre_cached.rules(_as_ns(ns, 1), _gauss_legendre_rules))
+        return iter(_gauss_legendre_cached.get(_as_ns(ns, 1), _gauss_legendre_rules))
     return _weighted_rules(family, _as_ns(ns, 2), weight)
 
 
@@ -318,7 +267,7 @@ def apply_each(rules: Iterable[QuadratureRule], f) -> list[float]:
     is called once over a chunk's concatenated nodes (so it must act
     elementwise), or node by node if it is scalar-only."""
     sums = []
-    for chunk in _chunks(rules, lambda rule: rule.n, _CHUNK_POINTS):
+    for chunk in _chunks(rules, _points, _CHUNK_POINTS):
         nodes = np.concatenate([rule.nodes for rule in chunk])
         try:
             fv = np.asarray(f(nodes), dtype=float)

@@ -6,7 +6,7 @@ so repeated runs produce bit-identical results.
 
 import math
 
-__all__ = ["digamma", "beta", "phi_combo"]
+__all__ = ["digamma", "beta"]
 
 # Bernoulli-number coefficients B_{2n}/(2n) of the large-argument digamma
 # series, n = 1..6.  With the recurrence shift to x >= 10 the first
@@ -46,15 +46,3 @@ def beta(x: float, y: float) -> float:
         raise ValueError(f"beta requires positive arguments, got {x!r}, {y!r}")
     return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
 
-
-def phi_combo(alpha: float, beta_arg: float) -> float:
-    """The combination Phi(alpha, beta) = B(alpha+1, beta) * [Psi(alpha+beta+1) - Psi(beta)].
-
-    Appears in the seed values of the log-weighted moment recurrence.
-    Requires alpha > -1 and beta > 0.
-    """
-    if not alpha > -1.0:
-        raise ValueError(f"phi_combo requires alpha > -1, got {alpha!r}")
-    if not beta_arg > 0.0:
-        raise ValueError(f"phi_combo requires beta > 0, got {beta_arg!r}")
-    return beta(alpha + 1.0, beta_arg) * (digamma(alpha + beta_arg + 1.0) - digamma(beta_arg))

@@ -23,6 +23,7 @@ from chebquad.analysis import (
     weight_sum_study,
 )
 from chebquad.chebcore import Family
+from chebquad.errors import NumericalFailure
 from chebquad.moments import WeightKind, WeightSpec
 
 UNIT = WeightSpec(WeightKind.JACOBI, 0.0, 0.0)
@@ -104,6 +105,28 @@ def test_oracle_kink_values_are_correctly_rounded(kind, f_kind, alpha, beta, c, 
 def test_oracle_error_estimate_is_tight(weight):
     value, est = oracle_integral(weight, abspow(0.5, 0.6))
     assert est <= 1e-12 * max(1.0, abs(value))
+
+
+@pytest.mark.parametrize("kind", ["jacobi", "logjacobi"])
+@pytest.mark.parametrize("f_kind, c, s", [("abspow", 0.5, 1.6), ("powplus", 0.3, 0.6)])
+def test_oracle_reaches_exponent_minus_0_95(kind, f_kind, c, s):
+    # the graded panels used to halve z down to 0 here and stop on math.log(0)
+    for alpha, beta in ((0.0, -0.95), (-0.95, 0.0)):
+        value, est = oracle_integral(WeightSpec(kind, alpha, beta), KINKS[f_kind](c, s))
+        assert value == oracles.kink_integral(kind, alpha, beta, f_kind, c, s)
+        assert est <= 1e-12 * max(1.0, abs(value))
+
+
+def test_oracle_refuses_exponents_near_minus_one():
+    with pytest.raises(NumericalFailure, match="disagreement"):
+        oracle_integral(WeightSpec(WeightKind.JACOBI, 0.0, -0.99), abspow(0.5, 1.6))
+
+
+def test_oracle_refuses_a_nan_panel_value(monkeypatch):
+    analysis._oracle.cache_clear()
+    monkeypatch.setattr(analysis, "_float_value", lambda weight, f: math.nan)
+    with pytest.raises(NumericalFailure, match="graded-panel nan"):
+        oracle_integral(CHEB, abspow(0.5, 0.6))
 
 
 def test_test_function_validation():

@@ -21,7 +21,8 @@ from chebquad.chebcore import (
     _dst1,
     _fejer2_moment_fold,
     _build_twiddle,
-    _TwiddleStore,
+    _Store,
+    _twiddles,
     cheb_expansion_coeffs,
     chebyshev_T,
     interp_rules,
@@ -119,30 +120,36 @@ def test_transforms_equal_scipy_fft_bit_for_bit(ours, kind, reference):
 
 
 def test_twiddle_store_is_bounded_in_floats():
-    store = _TwiddleStore(max_floats=100)
-    first = store(40)
-    assert store(40) is first
-    store(50)
-    assert list(store._tables) == [40, 50]
-    store(40)  # now the most recently used
-    store(30)  # 120 floats: n = 50 goes
-    assert list(store._tables) == [40, 30] and store._floats == 70
+    store = _Store(max_size=100)
+    first = store.get([40], _twiddles)[0]
+    assert store.get([40], _twiddles)[0] is first
+    store.get([50], _twiddles)
+    assert list(store._values) == [40, 50]
+    store.get([40], _twiddles)  # now the most recently used
+    store.get([30], _twiddles)  # 120 floats: n = 50 goes
+    assert list(store._values) == [40, 30]
+    assert store.cache_info() == (2, 3, 100, 70)
     assert not first.flags.writeable
+    store.cache_clear()
+    assert store.cache_info() == (0, 0, 100, 0) and not store._values
 
 
 def test_twiddle_store_keeps_its_count_under_threads():
-    store = _TwiddleStore(max_floats=2000)
+    store = _Store(max_size=2000)
     ns = np.random.default_rng(9).integers(1, 300, 400).tolist()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            tables = [future.result(timeout=60) for future in [pool.submit(store, n) for n in ns]]
+            futures = [pool.submit(store.get, [n], _twiddles) for n in ns]
+            tables = [future.result(timeout=60)[0] for future in futures]
     finally:
         sys.setswitchinterval(interval)
     for n, tw in zip(ns, tables):
         assert np.array_equal(_bits(tw), _bits(_build_twiddle(n))), n
-    assert store._floats == sum(map(len, store._tables.values())) <= 2000
+    info = store.cache_info()
+    assert info.hits + info.misses == len(ns)
+    assert info.currsize == sum(map(len, store._values.values())) <= 2000
 
 
 # --- polynomial evaluation -------------------------------------------------

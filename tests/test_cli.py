@@ -116,6 +116,14 @@ def test_numerical_failure_exits_two(monkeypatch, capsys):
     assert err.startswith("quad: numerical failure: moments of weight=")
 
 
+def test_oracle_outside_its_domain_exits_two(capsys):
+    # jacobi:0:-0.99 used to end in math.log(0): exit 1, "math domain error"
+    code, out, err = run(capsys, "convergence", "--family", "cc", "--weight", "jacobi:0:-0.99",
+                         "--f", "abspow:0.5:1.6", "--n", "100:200")
+    assert code == 2 and out == ""
+    assert err.startswith("quad: numerical failure: reference oracle disagreement")
+
+
 def test_identical_invocations_are_byte_identical(capsys):
     args = ("nodes", "--family", "cc", "--weight", "logjacobi:-0.3:0.2", "--n", "17")
     _, first, _ = run(capsys, *args)

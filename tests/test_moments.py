@@ -1,12 +1,13 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from chebquad import moments
+from chebquad import moments, special
 from chebquad.errors import NumericalFailure
 from chebquad.moments import (
     WeightKind,
@@ -53,6 +54,20 @@ def test_log_weight_first_moments():
     vals = log_jacobi_moments(0.0, 0.0, 1).values
     assert vals[0] == pytest.approx(-2.0, rel=1e-13)
     assert vals[1] == pytest.approx(1.0, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [(-0.6, -0.6), (-0.3, 0.2), (0.0, -0.5), (0.2, 0.5), (0.5, 1.5), (-0.5, -0.5), (0.0, 1.0)],
+)
+def test_seeds_match_40_digits(alpha, beta):
+    # one closed form in both arithmetics: float64 (special.beta, special.digamma)
+    # against mpmath at 40 digits (mp.beta, mp.digamma), Jacobi and log-Jacobi
+    for log in (False, True):
+        got = moments._seeds(alpha, beta, log, special.beta, special.digamma)
+        with mp.workdps(40):
+            want = moments._seeds(mp.mpf(alpha), mp.mpf(beta), log, mp.beta, mp.digamma)
+        assert got == pytest.approx([float(v) for v in want], rel=1e-13, abs=0.0)
 
 
 # --- equivalence with the independent closed-form reference -----------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from chebquad import rules
-from chebquad.chebcore import CHEBYSHEV_FAMILIES, Family, chebyshev_T
+from chebquad.chebcore import CHEBYSHEV_FAMILIES, Family, _Store, chebyshev_T
 from chebquad.errors import NumericalFailure
 from chebquad.moments import WeightKind, WeightSpec, moments_for
 from chebquad.rules import (
@@ -129,13 +129,13 @@ def test_gauss_batch_takes_unsorted_and_repeated_ns():
 
 
 def test_gauss_store_is_bounded_in_points():
-    store = rules._RuleStore(max_points=100)
+    store = _Store(max_size=100, size=lambda rule: rule.n)
     build = rules._gauss_legendre_rules
-    first = store.rules([60, 30], build)
-    store.rules([50], build)  # 140 points: the least recently used rule, n = 60, goes
+    first = store.get([60, 30], build)
+    store.get([50], build)  # 140 points: the least recently used rule, n = 60, goes
     assert store.cache_info() == (0, 3, 100, 80)
-    assert store.rules([30], build)[0] is first[1]
-    assert store.rules([60], build)[0] is not first[0]
+    assert store.get([30], build)[0] is first[1]
+    assert store.get([60], build)[0] is not first[0]
     assert store.cache_info() == (1, 4, 100, 90)  # n = 60 back, n = 50 out
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebquad.special import beta, digamma, phi_combo
+from chebquad.special import beta, digamma
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -62,31 +62,3 @@ def test_beta_rejects_nonpositive():
         beta(-0.5, 1.0)
     with pytest.raises(ValueError):
         beta(1.0, 0.0)
-
-
-def test_phi_combo_closed_forms():
-    # B(1/2, 1/2) [Psi(1) - Psi(1/2)] = pi * 2 ln 2
-    assert phi_combo(-0.5, 0.5) == pytest.approx(
-        2.0 * math.pi * math.log(2.0), rel=1e-14
-    )
-    # B(1, 2) [Psi(3) - Psi(2)] = (1/2) * (1/2)
-    assert phi_combo(0.0, 2.0) == pytest.approx(0.25, rel=1e-14)
-
-
-@pytest.mark.parametrize(
-    "alpha,beta_arg",
-    [(-0.6, 0.4), (-0.3, 1.2), (0.0, 0.5), (0.2, 1.5), (0.5, 2.5)],
-)
-def test_phi_combo_matches_mpmath(alpha, beta_arg):
-    expected = float(
-        mp.beta(alpha + 1, beta_arg)
-        * (mp.digamma(alpha + beta_arg + 1) - mp.digamma(beta_arg))
-    )
-    assert phi_combo(alpha, beta_arg) == pytest.approx(expected, rel=1e-13)
-
-
-def test_phi_combo_domain_checks():
-    with pytest.raises(ValueError):
-        phi_combo(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        phi_combo(0.0, 0.0)
