@@ -10,11 +10,9 @@ oracle.
 from .aliasing import (
     AliasRecord,
     ReducedForm,
-    alias_error,
     alias_errors,
     alias_reduce,
     error_series_check,
-    gauss_alias_error,
 )
 from .analysis import (
     ConvergenceReport,
@@ -84,7 +82,6 @@ __all__ = [
     "WeightKind",
     "WeightSpec",
     "abspow",
-    "alias_error",
     "alias_errors",
     "alias_reduce",
     "apply",
@@ -97,7 +94,6 @@ __all__ = [
     "envelope_slope",
     "error_series_check",
     "fit_slope",
-    "gauss_alias_error",
     "gauss_legendre",
     "gauss_open_problem_study",
     "interp_rules",

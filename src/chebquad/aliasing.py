@@ -1,12 +1,14 @@
-"""Aliasing identities on Chebyshev point sets and single-polynomial errors.
+"""Aliasing identities and single-polynomial errors on all four rule families.
 
-On each of the three Chebyshev-point families a high-degree polynomial
-T_m coincides at the nodes with a low-degree one, so the quadrature
-value of T_m collapses to a rule value of some T_j with j <= n+1.  This
-module provides the canonical (p, j, sign) reduction, the resulting
-exact error E_n[T_m] = I[T_m] - I_n[T_m] for Jacobi and log-Jacobi
-weights, the Gauss-Legendre error formulas (the 2/(1-4r^2) and pi/2
-families), and a truncated error-series consistency check.
+On an n-point rule a high-degree T_m takes the node values of a low-degree
+polynomial: m folds as m = 2pK +- d about the family's half-period K
+(chebcore._HALF_PERIOD: n, n+1 and n-1 for Fejer-1, Fejer-2 and
+Clenshaw-Curtis, 2n+1 for Gauss-Legendre).  On the Chebyshev point sets
+the rule value of T_m is then +-(the rule value of T_j), j = d <= n+1;
+on Gauss-Legendre the fold gives the leading 2/(1-4r^2) and pi/2 terms of
+the error.  This module provides the canonical (p, j, sign) reduction,
+the exact errors E_n[T_m] = I[T_m] - I_n[T_m] of every family with their
+predictions, and a truncated error-series consistency check.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .chebcore import Family, cheb_expansion_coeffs, chebyshev_T
+from .chebcore import CHEBYSHEV_FAMILIES, Family, _checked_ns, cheb_expansion_coeffs, chebyshev_T
 from .moments import WeightSpec, moments_for
-from .rules import QuadratureRule, apply, gauss_legendre, rule_for
+from .rules import QuadratureRule, apply, rule_for
 
 
 class ReducedForm(enum.Enum):
@@ -68,97 +70,61 @@ def alias_reduce(family: Family, n: int, m: int) -> tuple[int, int, int]:
 
     n and m are integers (operator.index), n >= 1 (n >= 2 for
     Clenshaw-Curtis) and m >= 0.  Returns (p, j, sign) with m = 2pK +/- j
-    for the family modulus 2K (K = n for Fejer-1, n+1 for Fejer-2, n-1
-    for Clenshaw-Curtis), 0 <= j <= K, and sign such that the rule value
-    on T_m equals sign times the rule value on T_j -- sign is (-1)^p for
-    Fejer-1 and +1 otherwise, since T_{2pK +/- j} = T_j on the latter two
-    node sets.
+    for the family's half-period K (chebcore._HALF_PERIOD: n for Fejer-1,
+    n+1 for Fejer-2, n-1 for Clenshaw-Curtis), 0 <= j <= K, and sign such
+    that the rule value on T_m equals sign times the rule value on T_j --
+    sign is (-1)^p for Fejer-1 and +1 otherwise, since T_{2pK +/- j} = T_j
+    on the latter two node sets.
     """
-    p, j, sign, _ = _reduce(family, n, m)
-    return p, j, sign
+    if Family(family) not in CHEBYSHEV_FAMILIES:
+        raise ValueError(f"alias_reduce covers Chebyshev families only, got {family}")
+    return _reduce(family, n, m)[:3]
 
 
-def _reduce(family: Family, n: int, m: int) -> tuple[int, int, int, ReducedForm]:
-    family = Family(family)
-    n, m = operator.index(n), operator.index(m)
+def _reduce(family: Family, n: int, m: int) -> tuple:
+    """(p, j, sign, form, r) of degree m on the n-point rule, from the one
+    fold m = 2pK + side * d, 0 <= d <= K, with the family's half-period K.
+
+    On the Chebyshev families j = d.  On Gauss-Legendre (K = 2n+1) an even
+    m >= 2n is m = j(4n+2) + 2r with j = p, r = side * d / 2 and |r| < n,
+    where I_n[T_m] ~ (-1)^j 2/(1-4r^2), or, where d = 2n, m = (2j-1)(2n+1)
+    -+ 1 with j = p + (side > 0), where I_n[T_m] ~ side (-1)^j pi/2 (a sign
+    pairing fixed numerically); its records carry p = j.
+    """
+    family, (n,), (half,) = _checked_ns(family, (n,))
+    m = operator.index(m)
     if m < 0:
         raise ValueError(f"degree must be nonnegative, got {m}")
-    if family is Family.FEJER1:
-        half = n
-    elif family is Family.FEJER2:
-        half = n + 1
-    elif family is Family.CLENSHAW_CURTIS:
-        if n < 2:
-            raise ValueError("Clenshaw-Curtis needs n >= 2")
-        half = n - 1
-    else:
-        raise ValueError(f"alias_reduce covers Chebyshev families only, got {family}")
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    modulus = 2 * half
-    q = m % modulus
-    if q <= half:
-        p, j = m // modulus, q
-    else:
-        p, j = m // modulus + 1, modulus - q
+    p, d = divmod(m, 2 * half)
+    side = 1 if d <= half else -1
+    if side < 0:
+        p, d = p + 1, 2 * half - d
+    if family is Family.GAUSS_LEGENDRE:
+        if m <= 2 * n - 1 or m % 2 == 1:
+            # Exactness below degree 2n, antisymmetry for every odd degree.
+            return 0, m, 1, ReducedForm.GAUSS_EXACT, None
+        if d == 2 * n:
+            j = p + (side > 0)
+            return j, j, side * (-1) ** j, ReducedForm.GAUSS_HALF_PI, None
+        return p, p, (-1) ** p, ReducedForm.GAUSS_PLAIN, side * d // 2
     sign = (-1) ** p if family is Family.FEJER1 else 1
-
-    if family is Family.FEJER1 and j == n:
+    if family is Family.FEJER1 and d == n:
         # T_n vanishes at every Fejer-1 node, so any odd multiple of n
         # integrates to exactly zero under any weight.
         form = ReducedForm.FEJER1_ZERO
-    elif family is Family.FEJER2 and j == n:
+    elif family is Family.FEJER2 and d == n:
         form = ReducedForm.FEJER2_EDGE_N
-    elif family is Family.FEJER2 and j == n + 1:
+    elif family is Family.FEJER2 and d == n + 1:
         form = ReducedForm.FEJER2_EDGE_N1
     elif p == 0:
         form = ReducedForm.IDENTITY
     else:
         form = ReducedForm.PLAIN
-    return p, j, sign, form
+    return p, d, sign, form, None
 
 
 def _node_sum(rule: QuadratureRule, degree: int) -> float:
     return math.fsum((rule.weights * chebyshev_T(degree, rule.nodes)).tolist())
-
-
-def alias_errors(family: Family, n: int, ms: Iterable[int], weight: WeightSpec) -> list[AliasRecord]:
-    """Exact aliasing errors E_n[T_m] = I[T_m] - I_n[T_m] with their identity
-    values, for every degree m in ms, on one rule_for rule.
-
-    ``computed`` subtracts the direct node sum from the modified moment;
-    ``predicted`` replaces the node sum by the reduced identity (the
-    moment M_j for j <= n-1, the rule's own value of T_n / T_{n+1} at
-    the Fejer-2 edge, zero for odd multiples of n on Fejer-1).  The two
-    agree to roundoff because T_m and sign*T_j coincide at the nodes.
-    Each m takes its own moment table M_0..M_m.
-    """
-    rule = rule_for(family, n, weight)
-    records = []
-    for m in ms:
-        table = moments_for(weight, m)
-        p, j, sign, form = _reduce(family, n, m)
-        exact = table.values[m]
-        computed = exact - _node_sum(rule, m)
-        if form is ReducedForm.FEJER1_ZERO:
-            reduced_value = 0.0
-        elif form in (ReducedForm.FEJER2_EDGE_N, ReducedForm.FEJER2_EDGE_N1):
-            reduced_value = _node_sum(rule, j)
-        else:
-            # j <= n-1: the rule integrates T_j exactly, so its value is M_j.
-            reduced_value = table.values[j]
-        predicted = exact - sign * reduced_value
-        records.append(AliasRecord(
-            family=rule.family, n=rule.n, m=m, reduced_form=form, p=p, j=j, sign=sign,
-            predicted=predicted, computed=computed, residual=abs(computed - predicted),
-            leading=abs(table.values[j]),
-        ))
-    return records
-
-
-def alias_error(family: Family, n: int, m: int, weight: WeightSpec) -> AliasRecord:
-    """alias_errors with the one degree m."""
-    return alias_errors(family, n, (m,), weight)[0]
 
 
 def _legendre_exact(m: int) -> float:
@@ -168,64 +134,48 @@ def _legendre_exact(m: int) -> float:
     return 2.0 / (1.0 - m * m)
 
 
-def gauss_alias_error(n: int, m: int) -> AliasRecord:
-    """Gauss-Legendre error on T_m with its leading-term prediction.
+def alias_errors(family: Family, n: int, ms: Iterable[int], weight: WeightSpec) -> list[AliasRecord]:
+    """Exact aliasing errors E_n[T_m] = I[T_m] - I_n[T_m] and their
+    predictions, for every degree m in ms (integers), on one rule_for rule.
 
-    Even m >= 2n decomposes canonically as m = j(4n+2) + 2r with
-    -n < r < n, where I_n[T_m] ~ (-1)^j 2/(1-4r^2), or falls in the
-    half-pi family m = (2j-1)(2n+1) +/- 1 where I_n[T_m] ~ -+(-1)^j pi/2.
-    (The sign pairing of the +-1 branches is fixed numerically; it is
-    the mirror of the one a naive reading of the +- would give.)  Both
-    predictions carry O(m/n^2) remainders.  Degrees m <= 2n-1 and odd m
-    have zero error and are flagged GAUSS_EXACT.  n and m are integers
-    (operator.index).
+    ``computed`` subtracts the direct node sum from the exact integral;
+    ``predicted`` is exact - sign * value, the value of the reduced form
+    in place of the node sum: M_j for j <= n-1, the rule's own value of
+    T_n / T_{n+1} at the Fejer-2 edge, zero for odd multiples of n on
+    Fejer-1, and the leading 2/(1-4r^2) or pi/2 on Gauss-Legendre (the
+    exact integral itself, a zero prediction, for GAUSS_EXACT).  Each
+    Chebyshev m takes its own moment table M_0..M_m.
     """
-    n, m = operator.index(n), operator.index(m)
-    if m < 0:
-        raise ValueError(f"degree must be nonnegative, got {m}")
-    rule = gauss_legendre(n)
-    exact = _legendre_exact(m)
-    computed = exact - _node_sum(rule, m)
-
-    if m <= 2 * n - 1 or m % 2 == 1:
-        # Exactness below degree 2n, antisymmetry for every odd degree.
-        return AliasRecord(
-            family=Family.GAUSS_LEGENDRE, n=n, m=m,
-            reduced_form=ReducedForm.GAUSS_EXACT,
-            p=0, j=m, sign=1,
-            predicted=0.0, computed=computed, residual=abs(computed),
-        )
-
-    period = 4 * n + 2
-    q = m % period
-    t = m // period
-    if q <= 2 * n - 2:
-        j, r = t, q // 2
-    elif q >= 2 * n + 4:
-        j, r = t + 1, (q - period) // 2
-    else:
-        # q in {2n, 2n+2}: m = (2j-1)(2n+1) -+ 1 with j = t+1.
-        j = t + 1
-        pm = -1 if q == 2 * n else 1
-        sign = -pm * (-1) ** j
-        predicted = exact - sign * math.pi / 2.0
-        return AliasRecord(
-            family=Family.GAUSS_LEGENDRE, n=n, m=m,
-            reduced_form=ReducedForm.GAUSS_HALF_PI,
-            p=j, j=j, sign=sign,
-            predicted=predicted, computed=computed,
-            residual=abs(computed - predicted),
-        )
-
-    value = (-1) ** j * 2.0 / (1.0 - 4.0 * r * r)
-    return AliasRecord(
-        family=Family.GAUSS_LEGENDRE, n=n, m=m,
-        reduced_form=ReducedForm.GAUSS_PLAIN,
-        p=j, j=j, sign=(-1) ** j,
-        predicted=exact - value, computed=computed,
-        residual=abs(computed - (exact - value)),
-        r=r,
-    )
+    rule = rule_for(family, n, weight)
+    records = []
+    for m in map(operator.index, ms):
+        p, j, sign, form, r = _reduce(rule.family, rule.n, m)
+        if rule.family is Family.GAUSS_LEGENDRE:
+            exact, leading = _legendre_exact(m), 0.0
+        else:
+            table = moments_for(weight, m).values
+            exact, leading = table[m], abs(table[j])
+        if form is ReducedForm.GAUSS_EXACT:
+            value = exact
+        elif form is ReducedForm.GAUSS_PLAIN:
+            value = 2.0 / (1.0 - 4.0 * r * r)
+        elif form is ReducedForm.GAUSS_HALF_PI:
+            value = math.pi / 2.0
+        elif form is ReducedForm.FEJER1_ZERO:
+            value = 0.0
+        elif form in (ReducedForm.FEJER2_EDGE_N, ReducedForm.FEJER2_EDGE_N1):
+            value = _node_sum(rule, j)
+        else:
+            # j <= n-1: the rule integrates T_j exactly, so its value is M_j.
+            value = table[j]
+        computed = exact - _node_sum(rule, m)
+        predicted = exact - sign * value
+        records.append(AliasRecord(
+            family=rule.family, n=rule.n, m=m, reduced_form=form, p=p, j=j, sign=sign,
+            predicted=predicted, computed=computed, residual=abs(computed - predicted),
+            leading=leading, r=r,
+        ))
+    return records
 
 
 def _single_errors(rule: QuadratureRule, degrees: np.ndarray) -> np.ndarray:

@@ -106,11 +106,18 @@ class TestFunction:
         return self.fn(x)
 
     def describe(self) -> str:
+        c, s = _number_tag(self.c), _number_tag(self.s)
         if self.kind is TestKind.ABS_POW:
-            return f"|x-{self.c:g}|^{self.s:g}"
+            return f"|x-{c}|^{s}"
         if self.kind is TestKind.POW_PLUS:
-            return f"(x-{self.c:g})_+^{self.s:g}"
+            return f"(x-{c})_+^{s}"
         return self.label or "custom"
+
+
+def _number_tag(x: float) -> str:
+    """x as :g prints it where that reads back as x, else its repr."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(float(x))
 
 
 def abspow(c: float, s: float) -> TestFunction:
@@ -398,6 +405,16 @@ def envelope_slope(
     return fit_slope(x[peaks], y[peaks], window)
 
 
+def _sweep_ns(ns) -> tuple[int, ...]:
+    """ns as ints (operator.index), strictly increasing, nonempty, in [10, 5000]."""
+    ns = tuple(map(operator.index, ns))
+    if any(b <= a for a, b in zip(ns, ns[1:])) or not ns:
+        raise ValueError("ns must be strictly increasing and nonempty")
+    if ns[0] < 10 or ns[-1] > 5000:
+        raise ValueError("ns must lie within [10, 5000]")
+    return ns
+
+
 @dataclass(frozen=True)
 class ConvergenceReport:
     family: Family
@@ -440,15 +457,13 @@ def convergence_study(
     """
     family = Family(family)
     f = _as_test_function(f)
-    ns = tuple(map(operator.index, ns))
-    if any(b <= a for a, b in zip(ns, ns[1:])) or not ns:
-        raise ValueError("ns must be strictly increasing and nonempty")
-    if ns[0] < 10 or ns[-1] > 5000:
-        raise ValueError("ns must lie within [10, 5000]")
+    ns = _sweep_ns(ns)
     if f.kind is TestKind.CUSTOM:
         raise ValueError("rate prediction needs an AbsPow or PowPlus test function")
     if fit not in ("ols", "envelope"):
         raise ValueError(f"fit must be 'ols' or 'envelope', got {fit!r}")
+    if not 0.0 <= slope_tolerance < math.inf:  # a NaN fails too
+        raise ValueError(f"slope tolerance must be finite and >= 0, got {slope_tolerance}")
 
     theoretical_slope, log_factor = theoretical_rate(family, weight, f.s)
     reference, est = oracle_integral(weight, f)
@@ -566,7 +581,7 @@ def gauss_open_problem_study(
         raise ValueError("the open-problem experiment uses Jacobi weights")
     if f.kind is TestKind.CUSTOM:
         raise ValueError("the open-problem experiment needs an X^s test function")
-    ns = tuple(map(operator.index, ns))
+    ns = _sweep_ns(ns)
     reference, _ = oracle_integral(weight, f)
     gj = []
     for n in ns:

@@ -1,11 +1,15 @@
 """Chebyshev point sets and the transforms that turn moments into rule weights.
 
-The three point families:
+The three point families, with their half-periods K:
 
-* Fejer-1: zeros of T_n,   y_j = cos((2j-1)pi/(2n)),  j = 1..n
-* Fejer-2: zeros of U_n,   x_j = cos(j pi/(n+1)),     j = 1..n
+* Fejer-1: zeros of T_n,   y_j = cos((2j-1)pi/(2n)),  j = 1..n,   K = n
+* Fejer-2: zeros of U_n,   x_j = cos(j pi/(n+1)),     j = 1..n,   K = n+1
 * Clenshaw-Curtis: extrema of T_{n-1} including the endpoints,
-  xbar_j = cos(j pi/(n-1)), j = 0..n-1  (requires n >= 2)
+  xbar_j = cos(j pi/(n-1)), j = 0..n-1,                          K = n-1
+
+so T_{2pK +- j} takes the grid values of +-T_j (K = 2n+1 folds the
+Gauss-Legendre errors alike).  _HALF_PERIOD holds K for all four families,
+and _checked_ns, the package's one n check, asks n >= 1 and K >= 1.
 
 On each grid the interpolatory rule satisfies
 
@@ -78,33 +82,44 @@ def chebyshev_T(j: int, x):
     return float(vals) if np.isscalar(x) or arr.ndim == 0 else vals
 
 
-def _grids(family: Family, ns) -> tuple:
-    """The family, the checked ns and the angles theta and points cos(theta)
-    of their grids, concatenated, with each grid's bounds and size per angle."""
+# The half-period K = a n + b of each family's n-point rule, as (a, b)
+_HALF_PERIOD = {Family.FEJER1: (1, 0), Family.FEJER2: (1, 1),
+                Family.CLENSHAW_CURTIS: (1, -1), Family.GAUSS_LEGENDRE: (2, 1)}
+
+
+def _checked_ns(family: Family, ns) -> tuple[Family, list[int], list[int]]:
+    """The family, ns as ints (operator.index: NumPy integers pass, 2.7
+    raises TypeError) and their half-periods K; raises ValueError unless
+    every n >= 1 and K >= 1 (so Clenshaw-Curtis needs n >= 2)."""
     family = Family(family)
-    if family not in CHEBYSHEV_FAMILIES:
-        raise ValueError(f"Chebyshev point sets only, got {family}")
+    a, b = _HALF_PERIOD[family]
+    least = max(1, (a - b) // a)  # the least n with a n + b >= 1
     ns = [operator.index(n) for n in ns]
     for n in ns:
-        if n < 1:
-            raise ValueError(f"n must be positive, got {n}")
-        if family is Family.CLENSHAW_CURTIS and n < 2:
-            raise ValueError("Clenshaw-Curtis needs n >= 2")
+        if n < least:
+            raise ValueError(f"n must be positive, got {n}" if least == 1
+                             else f"n must be >= {least}, got {n}")
+    return family, ns, [a * n + b for n in ns]
+
+
+def _grids(family: Family, ns) -> tuple:
+    """The family, the checked ns, and the angles theta = (j + offset) pi / K,
+    j = 0..n-1, and points cos(theta) of their grids, concatenated, with
+    each grid's bounds and each angle's K."""
+    family, ns, ks = _checked_ns(family, ns)
+    if family not in CHEBYSHEV_FAMILIES:
+        raise ValueError(f"Chebyshev point sets only, got {family}")
     bounds = np.cumsum([0, *ns])  # grid i at [bounds[i], bounds[i+1])
     first, last = bounds[:-1], bounds[1:] - 1
-    sizes = np.repeat(np.asarray(ns, dtype=float), ns)
+    half = np.repeat(np.asarray(ks, dtype=float), ns)
     j = np.arange(bounds[-1]) - np.repeat(first, ns)  # 0..n-1 in each grid
-    if family is Family.FEJER1:
-        theta = (2.0 * (j + 1) - 1.0) * np.pi / (2.0 * sizes)
-    elif family is Family.FEJER2:
-        theta = (j + 1) * np.pi / (sizes + 1.0)
-    else:
-        theta = j * np.pi / (sizes - 1.0)
+    offset = (_HALF_PERIOD[family][1] + 1) / 2  # (K - n + 1) / 2: symmetric about pi/2
+    theta = (j + offset) * np.pi / half
     points = np.cos(theta)
     if family is Family.CLENSHAW_CURTIS:  # pin the ends, and odd n's midpoint, exactly
         points[first], points[last] = 1.0, -1.0
         points[((first + last) // 2)[(last - first) % 2 == 0]] = 0.0
-    return family, ns, theta, points, bounds, sizes
+    return family, ns, theta, points, bounds, half
 
 
 def make_points(family: Family, n: int) -> np.ndarray:
@@ -326,7 +341,7 @@ def interp_rules(family: Family, ns, m) -> tuple[np.ndarray, np.ndarray, np.ndar
     m = np.asarray(m, dtype=float)
     if m.ndim != 1:
         raise ValueError("moments must be a 1-D array")
-    family, ns, theta, points, bounds, sizes = _grids(family, ns)
+    family, ns, theta, points, bounds, half = _grids(family, ns)
     top = max(ns, default=0)
     if len(m) < top:
         raise ValueError(f"{top}-point rules need {top} moments, got {len(m)}")
@@ -336,14 +351,12 @@ def interp_rules(family: Family, ns, m) -> tuple[np.ndarray, np.ndarray, np.ndar
     w = np.empty(bounds[-1])
     for n, a, b in zip(ns, bounds.tolist(), bounds[1:].tolist()):
         w[a:b] = transform(m[:n])
-    if family is Family.FEJER1:
-        w /= sizes
-    elif family is Family.CLENSHAW_CURTIS:
-        w /= sizes - 1.0
+    if family is Family.FEJER2:
+        w *= np.sin(theta)
+    w /= half
+    if family is Family.CLENSHAW_CURTIS:
         w[bounds[:-1]] *= 0.5
         w[bounds[1:] - 1] *= 0.5
-    else:
-        w = np.sin(theta) * w / (sizes + 1.0)
     return points, w, bounds
 
 

@@ -19,8 +19,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .aliasing import alias_errors, gauss_alias_error
+from .aliasing import alias_errors
 from .analysis import (
+    _number_tag,
     abspow,
     convergence_study,
     gauss_open_problem_study,
@@ -97,20 +98,22 @@ def _parse_function(text: str):
 
 
 def _parse_nrange(text: str) -> tuple[int, ...]:
-    parts = text.split(":")
+    parts, ns = text.split(":"), None
     try:
         if len(parts) == 1:
-            return (int(parts[0]),)
-        if len(parts) == 2:
-            lo, hi = int(parts[0]), int(parts[1])
-            return tuple(range(lo, hi + 1))
-        if len(parts) == 3 and parts[2].startswith("geom"):
-            lo, hi, count = int(parts[0]), int(parts[1]), int(parts[2][4:])
-            grid = np.unique(np.geomspace(lo, hi, count).round().astype(int))
-            return tuple(int(v) for v in grid)
+            ns = (int(parts[0]),)
+        elif len(parts) == 2:
+            ns = tuple(range(int(parts[0]), int(parts[1]) + 1))
+        elif len(parts) == 3 and parts[2].startswith("geom"):
+            grid = np.geomspace(int(parts[0]), int(parts[1]), int(parts[2][4:]))
+            ns = tuple(int(v) for v in np.unique(grid.round().astype(int)))
     except ValueError:
         pass
-    raise _UsageError(f"n-range grammar is N, LO:HI or LO:HI:geomK, got {text!r}")
+    if ns is None:
+        raise _UsageError(f"n-range grammar is N, LO:HI or LO:HI:geomK, got {text!r}")
+    if not ns:
+        raise _UsageError(f"empty n-range {text!r}")
+    return ns
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -124,7 +127,7 @@ def _parse_window(text: str) -> tuple[int, int]:
 
 
 def _weight_tag(weight: WeightSpec) -> str:
-    return f"{weight.kind.value}:{weight.alpha:g}:{weight.beta:g}"
+    return f"{weight.kind.value}:{_number_tag(weight.alpha)}:{_number_tag(weight.beta)}"
 
 
 @functools.cache
@@ -224,11 +227,7 @@ def _cmd_alias_table(args):
     m_max = 3 * args.n if args.m_max is None else args.m_max
     if m_max < 0:
         raise _UsageError(f"m-max must be nonnegative, got {m_max}")
-    if args.family is Family.GAUSS_LEGENDRE:
-        rule_for(args.family, args.n, args.weight)  # rejects a non-unit weight
-        records = [gauss_alias_error(args.n, m) for m in range(m_max + 1)]
-    else:
-        records = alias_errors(args.family, args.n, range(m_max + 1), args.weight)
+    records = alias_errors(args.family, args.n, range(m_max + 1), args.weight)
     comments = [
         f"family={args.family.value} n={args.n} weight={_weight_tag(args.weight)}"
     ]

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .chebcore import CHEBYSHEV_FAMILIES, Family, _Store, interp_rules
+from .chebcore import CHEBYSHEV_FAMILIES, Family, _checked_ns, _Store, interp_rules
 from .errors import NumericalFailure
 from .moments import UNIT_WEIGHT, WeightSpec, moments_for
 
@@ -57,17 +57,6 @@ class QuadratureRule:
     def __post_init__(self):
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
-
-
-def _as_ns(ns, least: int) -> list[int]:
-    """ns as ints under operator.index (NumPy integers pass, 2.7 raises
-    TypeError), each at least ``least``."""
-    ns = [operator.index(n) for n in ns]
-    for n in ns:
-        if n < least:
-            raise ValueError(f"n must be positive, got {n}" if least == 1
-                             else f"n must be >= {least}, got {n}")
-    return ns
 
 
 _CHUNK_POINTS = 1 << 14  # points per chunk of a sweep
@@ -213,7 +202,8 @@ def gauss_legendre(n: int) -> QuadratureRule:
     symmetric about 0 by construction); weights are
     2 / ((1 - x^2) P_n'(x)^2).  n must be an integer (operator.index).
     """
-    return _gauss_legendre_cached.get(_as_ns((n,), 1), _gauss_legendre_rules)[0]
+    ns = _checked_ns(Family.GAUSS_LEGENDRE, (n,))[1]
+    return _gauss_legendre_cached.get(ns, _gauss_legendre_rules)[0]
 
 
 def _weighted_rules(family: Family, ns: list[int], weight: WeightSpec) -> Iterator[QuadratureRule]:
@@ -231,7 +221,7 @@ def _weighted_rules(family: Family, ns: list[int], weight: WeightSpec) -> Iterat
 
 
 def build_weighted_rule(family: Family, n: int, weight: WeightSpec) -> QuadratureRule:
-    """The interpolatory rule on the n-point Chebyshev grid (n >= 2) for a
+    """The interpolatory rule on the n-point Chebyshev grid for a
     Jacobi or log-Jacobi weight: rule_for, Chebyshev families only."""
     family = Family(family)
     if family not in CHEBYSHEV_FAMILIES:
@@ -242,19 +232,20 @@ def build_weighted_rule(family: Family, n: int, weight: WeightSpec) -> Quadratur
 def rules_for(family: Family, ns: Iterable[int], weight: WeightSpec) -> Iterator[QuadratureRule]:
     """The rules for (family, n, weight), n running over ns, in the order of ns.
 
-    Every n is checked first (an integer under operator.index, at least 1
-    for Gauss-Legendre and 2 otherwise).  Gauss-Legendre accepts only
-    UNIT_WEIGHT; its rules are looked up at once and the missing ones
-    built in one batched Newton pass before this returns.  Weighted rules
-    are built from one moment table M_0..M_{max(ns)-1}, one chunk at a
-    time as the iterator advances (nothing before the first next()).
+    Every n is checked first (chebcore._checked_ns: an integer under
+    operator.index, at least 1, and at least 2 for Clenshaw-Curtis).
+    Gauss-Legendre accepts only UNIT_WEIGHT; its rules are looked up at
+    once and the missing ones built in one batched Newton pass before this
+    returns.  Weighted rules are built from one moment table
+    M_0..M_{max(ns)-1}, one chunk at a time as the iterator advances
+    (nothing before the first next()).
     """
-    family = Family(family)
-    if family is Family.GAUSS_LEGENDRE:
-        if weight != UNIT_WEIGHT:
-            raise ValueError("Gauss-Legendre handles only the unit weight jacobi:0:0")
-        return iter(_gauss_legendre_cached.get(_as_ns(ns, 1), _gauss_legendre_rules))
-    return _weighted_rules(family, _as_ns(ns, 2), weight)
+    family, ns, _ = _checked_ns(family, ns)
+    if family is not Family.GAUSS_LEGENDRE:
+        return _weighted_rules(family, ns, weight)
+    if weight != UNIT_WEIGHT:
+        raise ValueError("Gauss-Legendre handles only the unit weight jacobi:0:0")
+    return iter(_gauss_legendre_cached.get(ns, _gauss_legendre_rules))
 
 
 def rule_for(family: Family, n: int, weight: WeightSpec) -> QuadratureRule:

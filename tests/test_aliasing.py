@@ -6,14 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chebquad import rules
-from chebquad.aliasing import (
-    ReducedForm,
-    alias_error,
-    alias_errors,
-    alias_reduce,
-    error_series_check,
-    gauss_alias_error,
-)
+from chebquad.aliasing import ReducedForm, alias_errors, alias_reduce, error_series_check
 from chebquad.chebcore import CHEBYSHEV_FAMILIES, Family, chebyshev_T
 from chebquad.moments import WeightKind, WeightSpec, jacobi_moments
 from chebquad.rules import apply, gauss_legendre, rule_for
@@ -28,6 +21,8 @@ def _period(family: Family, n: int) -> int:
         return n
     if family is Family.FEJER2:
         return n + 1
+    if family is Family.GAUSS_LEGENDRE:
+        return 2 * n + 1
     return n - 1
 
 
@@ -64,10 +59,11 @@ def test_reduce_validation():
         alias_reduce(Family.GAUSS_LEGENDRE, 4, 5)
     assert alias_reduce(Family.FEJER1, np.int64(4), np.int64(8)) == (1, 0, -1)
     with pytest.raises(TypeError):  # gave a GAUSS_PLAIN record with p = j = 1.0
-        gauss_alias_error(8, 40.5)
+        alias_errors(Family.GAUSS_LEGENDRE, 8, (40.5,), UNIT)[0]
     with pytest.raises(TypeError):
-        gauss_alias_error(8.0, 40)
-    assert gauss_alias_error(np.int64(8), np.int64(40)) == gauss_alias_error(8, 40)
+        alias_errors(Family.GAUSS_LEGENDRE, 8.0, (40,), UNIT)[0]
+    assert (alias_errors(Family.GAUSS_LEGENDRE, np.int64(8), (np.int64(40),), UNIT)[0]
+            == alias_errors(Family.GAUSS_LEGENDRE, 8, (40,), UNIT)[0])
 
 
 @given(
@@ -109,7 +105,7 @@ def test_alias_identities_small(family, weight, n=9):
         for j in range(n):
             for m in {2 * _period(family, n) * p + j,
                       abs(2 * _period(family, n) * p - j)}:
-                rec = alias_error(family, n, m, weight)
+                rec = alias_errors(family, n, (m,), weight)[0]
                 assert rec.residual <= 1e-11, (family, weight, m)
 
 
@@ -120,14 +116,14 @@ def test_alias_errors_build_their_rule_once(family):
     table = alias_errors(family, 11, range(50), weight)
     info = rules._weighted_rule_cached.cache_info()
     assert (info.misses, info.hits) == (1, 0)
-    assert table == [alias_error(family, 11, m, weight) for m in range(50)]
+    assert table == [alias_errors(family, 11, (m,), weight)[0] for m in range(50)]
     assert max(rec.residual for rec in table) <= 1e-11
 
 
 def test_fejer1_zero_identity():
     # odd multiples of n alias onto T_n, which vanishes at the Fejer-1
     # nodes, so the rule returns 0 and the error is the bare moment
-    rec = alias_error(Family.FEJER1, 6, 18, UNIT)
+    rec = alias_errors(Family.FEJER1, 6, (18,), UNIT)[0]
     assert rec.reduced_form is ReducedForm.FEJER1_ZERO
     assert rec.residual <= 1e-12
     m18 = jacobi_moments(0.0, 0.0, 18).values[18]
@@ -139,17 +135,17 @@ def test_fejer1_zero_identity():
 def test_fejer1_error_combines_two_moments():
     # degree 35 on 16 points folds to T_3 with a sign flip:
     # E[T_35] = M_35 + M_3
-    rec = alias_error(Family.FEJER1, 16, 35, UNIT)
+    rec = alias_errors(Family.FEJER1, 16, (35,), UNIT)[0]
     vals = jacobi_moments(0.0, 0.0, 35).values
     assert rec.computed == pytest.approx(vals[35] + vals[3], abs=1e-12)
     assert rec.residual <= 1e-12
 
 
 def test_fejer2_boundary_forms():
-    rec = alias_error(Family.FEJER2, 8, 27, UNIT)
+    rec = alias_errors(Family.FEJER2, 8, (27,), UNIT)[0]
     assert rec.reduced_form is ReducedForm.FEJER2_EDGE_N1
     assert rec.residual <= 1e-11
-    rec = alias_error(Family.FEJER2, 8, 26, UNIT)
+    rec = alias_errors(Family.FEJER2, 8, (26,), UNIT)[0]
     assert rec.reduced_form is ReducedForm.FEJER2_EDGE_N
     assert rec.residual <= 1e-11
 
@@ -161,7 +157,7 @@ def test_alias_identities_survive_large_degrees(family):
     weight = WeightSpec(WeightKind.JACOBI, -0.6, -0.5)
     n = 16
     for m in np.unique(np.geomspace(n, 50 * n, 15).astype(int)):
-        rec = alias_error(family, n, int(m), weight)
+        rec = alias_errors(family, n, (int(m),), weight)[0]
         assert rec.residual <= 1e-11, (family, m)
 
 
@@ -169,22 +165,24 @@ def test_alias_identities_survive_large_degrees(family):
 
 
 def test_gauss_exact_below_degree_2n_and_odd():
-    assert gauss_alias_error(20, 39).reduced_form is ReducedForm.GAUSS_EXACT
-    assert abs(gauss_alias_error(20, 39).computed) <= 1e-12
+    rec = alias_errors(Family.GAUSS_LEGENDRE, 20, (39,), UNIT)[0]
+    assert rec.reduced_form is ReducedForm.GAUSS_EXACT
+    assert abs(rec.computed) <= 1e-12
     # odd degrees above 2n-1 are killed by node symmetry
-    assert gauss_alias_error(20, 41).reduced_form is ReducedForm.GAUSS_EXACT
-    assert abs(gauss_alias_error(20, 41).computed) <= 1e-12
+    rec = alias_errors(Family.GAUSS_LEGENDRE, 20, (41,), UNIT)[0]
+    assert rec.reduced_form is ReducedForm.GAUSS_EXACT
+    assert abs(rec.computed) <= 1e-12
 
 
 def test_gauss_half_pi_family():
     # at m = 2n the rule aliases the sqrt weight: the error is near pi/2
-    rec = gauss_alias_error(20, 40)
+    rec = alias_errors(Family.GAUSS_LEGENDRE, 20, (40,), UNIT)[0]
     assert rec.reduced_form is ReducedForm.GAUSS_HALF_PI
     exact_part = 2.0 / (1.0 - 40.0**2)
     assert rec.predicted == pytest.approx(exact_part + math.pi / 2.0, abs=1e-12)
     assert rec.residual <= 10.0 * 40.0 / 20.0**2
     # its mirror at m = 2n + 2 flips the sign
-    rec = gauss_alias_error(20, 42)
+    rec = alias_errors(Family.GAUSS_LEGENDRE, 20, (42,), UNIT)[0]
     assert rec.reduced_form is ReducedForm.GAUSS_HALF_PI
     assert rec.predicted < 0.0
     assert rec.residual <= 10.0 * 42.0 / 20.0**2
@@ -192,14 +190,33 @@ def test_gauss_half_pi_family():
 
 def test_gauss_plain_family_and_n_scaling():
     # m = (4n+2) + 6 reduces to (j, r) = (1, 3): leading value 2/35
-    rec = gauss_alias_error(50, 208)
+    rec = alias_errors(Family.GAUSS_LEGENDRE, 50, (208,), UNIT)[0]
     assert rec.reduced_form is ReducedForm.GAUSS_PLAIN
     assert (rec.j, rec.r) == (1, 3)
     exact_part = 2.0 / (1.0 - 208.0**2)
     assert rec.predicted == pytest.approx(exact_part - 2.0 / 35.0, abs=1e-12)
     # the same (j, r) class at doubled n: residual shrinks like m/n^2
-    rec2 = gauss_alias_error(100, 408)
+    rec2 = alias_errors(Family.GAUSS_LEGENDRE, 100, (408,), UNIT)[0]
     assert rec2.residual < rec.residual
+
+
+@given(n=st.integers(min_value=1, max_value=30), m=st.integers(min_value=0, max_value=600))
+@settings(max_examples=150, deadline=None)
+def test_gauss_fold_rebuilds_the_degree(n, m):
+    rec = alias_errors(Family.GAUSS_LEGENDRE, n, (m,), UNIT)[0]
+    K = _period(Family.GAUSS_LEGENDRE, n)
+    form = rec.reduced_form
+    assert (form is ReducedForm.GAUSS_EXACT) == (m <= 2 * n - 1 or m % 2 == 1)
+    if form is ReducedForm.GAUSS_EXACT:
+        assert (rec.p, rec.j, rec.sign, rec.r, rec.predicted) == (0, m, 1, None, 0.0)
+    elif form is ReducedForm.GAUSS_PLAIN:
+        # m = j(4n+2) + 2r, I_n[T_m] ~ (-1)^j 2/(1-4r^2)
+        assert m == rec.j * 2 * K + 2 * rec.r and abs(rec.r) < n
+        assert rec.p == rec.j and rec.sign == (-1) ** rec.j
+    else:
+        # m = (2j-1)(2n+1) -+ 1, I_n[T_m] ~ +-(-1)^j pi/2
+        assert form is ReducedForm.GAUSS_HALF_PI and rec.r is None and rec.p == rec.j
+        assert m - (2 * rec.j - 1) * K == -rec.sign * (-1) ** rec.j
 
 
 def test_gauss_sqrt_weight_proof_constant():

@@ -274,6 +274,16 @@ def test_convergence_study_validation():
         convergence_study(Family.FEJER1, UNIT, f, range(100, 301), fit="magic")
     with pytest.raises(TypeError):  # n = 100.5 used to run as n = 100
         convergence_study(Family.FEJER1, UNIT, f, [100.5, 150, 200, 250, 300])
+    for tolerance in (math.nan, -1.0, math.inf):  # nan, -1 failed every fit, inf passed it
+        with pytest.raises(ValueError, match="tolerance"):
+            convergence_study(Family.FEJER1, UNIT, f, range(100, 301),
+                              slope_tolerance=tolerance)
+
+
+def test_describe_keeps_every_digit():
+    assert abspow(0.5, 1.6).describe() == "|x-0.5|^1.6"
+    assert abspow(0.123456789, 0.6).describe() == "|x-0.123456789|^0.6"  # was 0.123457
+    assert powplus(-0.25, 1e-07).describe() == "(x--0.25)_+^1e-07"
 
 
 def test_gauss_sweeps_build_each_rule_once():
@@ -337,3 +347,6 @@ def test_open_problem_study_reports_without_verdict():
     assert not hasattr(report, "passed")  # informational: no pass/fail field
     with pytest.raises(ValueError):
         gauss_open_problem_study(LOG, abspow(0.4, 1.45), range(100, 251, 10))
+    for ns in ([], [100, 90], [5, 50, 100]):  # [] ended in an IndexError
+        with pytest.raises(ValueError):
+            gauss_open_problem_study(report.weight, report.test, ns)

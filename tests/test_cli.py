@@ -96,6 +96,30 @@ def test_usage_errors_exit_one(capsys):
                              "--n", "10:40")
         assert code == 1 and out == "" and err.startswith("usage:")
         assert f"invalid _parse_function value: '{bad}'" in err
+    for argv in (("gauss-open-problem", "--f", "abspow:0.4:1.45", "--n", "10:3"),  # IndexError
+                 ("weight-sums", "--family", "cc", "--n", "5:3"),  # an empty table, exit 0
+                 ("weight-sums", "--family", "cc", "--n", "10:1:geom0")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and err == f"quad: error: empty n-range {argv[-1]!r}\n"
+    for tolerance in ("nan", "-1", "inf"):  # nan and -1 exited 3, inf passed every fit
+        code, out, err = run(capsys, "convergence", "--family", "cc", "--f", "abspow:0.5:0.6",
+                             "--n", "10:200", "--tolerance", tolerance)
+        assert code == 1 and out == "" and "tolerance" in err
+
+
+@pytest.mark.parametrize("family", ["f1", "f2"])
+def test_fejer_one_point_rule(capsys, family):
+    code, out, _ = run(capsys, "nodes", "--family", family, "--n", "1")
+    assert code == 0
+    assert data_rows(out)[1] == ["0,6.123233995736766e-17,2"]
+
+
+def test_provenance_tags_keep_every_digit(capsys):
+    _, out, _ = run(capsys, "moments", "--weight", "jacobi:-0.999999999:0", "--K", "2")
+    assert out.startswith("# weight=jacobi:-0.999999999:0 K=2\n")  # was jacobi:-1:0
+    _, out, _ = run(capsys, "integrate", "--family", "cc", "--f", "abspow:0.123456789:0.6",
+                    "--weight", "logjacobi:-0.3:0.25", "--n", "8")
+    assert out.startswith("# weight=logjacobi:-0.3:0.25 f=|x-0.123456789|^0.6\n")
 
 
 def test_numerical_failure_exits_two(monkeypatch, capsys):

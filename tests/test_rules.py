@@ -206,7 +206,18 @@ def test_weighted_rule_validation():
     with pytest.raises(ValueError):
         build_weighted_rule(Family.GAUSS_LEGENDRE, 8, UNIT)
     with pytest.raises(ValueError):
-        build_weighted_rule(Family.FEJER1, 1, JAC)
+        build_weighted_rule(Family.FEJER1, 0, JAC)
+
+
+@pytest.mark.parametrize("family", [Family.FEJER1, Family.FEJER2])
+def test_fejer_one_point_rule_is_the_midpoint_rule(family):
+    # n = 1 has K >= 1 on both Fejer grids: one node near 0, weight M_0
+    for weight in (UNIT, JAC):
+        rule = rule_for(family, 1, weight)
+        assert abs(rule.nodes[0]) < 1e-16
+        assert np.array_equal(rule.weights, moments_for(weight, 0).values)
+    with pytest.raises(ValueError):
+        rule_for(Family.CLENSHAW_CURTIS, 1, JAC)
 
 
 def test_rules_and_moment_tables_are_frozen():
@@ -224,7 +235,7 @@ def test_rule_for_dispatch():
 
 def test_rules_for_checks_every_n_first_and_builds_chebyshev_rules_lazily():
     with pytest.raises(ValueError):
-        rules_for(Family.FEJER1, [5, 1], JAC)
+        rules_for(Family.FEJER1, [5, 0], JAC)
     with pytest.raises(ValueError):
         rules_for(Family.GAUSS_LEGENDRE, [5, 0], UNIT)
     with pytest.raises(ValueError):
