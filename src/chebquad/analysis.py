@@ -32,7 +32,7 @@ import numpy as np
 from .chebcore import Family
 from .errors import NumericalFailure
 from .moments import UNIT_WEIGHT, WeightKind, WeightSpec, min_bar, moments_for
-from .rules import apply_each, rules_for, weight_abs_sum
+from .rules import _sums_of, apply_each, rules_for
 
 __all__ = [
     "TestKind",
@@ -513,11 +513,9 @@ def weight_sum_study(
     interpolatory weight sums must converge to it.
     """
     target = abs(moments_for(weight, 0).values[0])
-    rows = []
-    for rule in rules_for(family, ns, weight):
-        total = weight_abs_sum(rule)
-        rows.append((rule.n, total, total - target))
-    return rows
+    built = list(rules_for(family, ns, weight))
+    totals = _sums_of([np.abs(rule.weights) for rule in built])  # weight_abs_sum of each
+    return [(rule.n, total, total - target) for rule, total in zip(built, totals)]
 
 
 def moment_decay_exponent(
@@ -583,12 +581,11 @@ def gauss_open_problem_study(
         raise ValueError("the open-problem experiment needs an X^s test function")
     ns = _sweep_ns(ns)
     reference, _ = oracle_integral(weight, f)
-    gj = []
-    for n in ns:
-        x, w = scipy.special.roots_jacobi(n, weight.alpha, weight.beta)
-        gj.append(abs(reference - math.fsum((w * f(x)).tolist())))
-    gl = [abs(reference - math.fsum((rule.weights * weight(rule.nodes) * f(rule.nodes)).tolist()))
-          for rule in rules_for(Family.GAUSS_LEGENDRE, ns, UNIT_WEIGHT)]
+    gauss_jacobi = (scipy.special.roots_jacobi(n, weight.alpha, weight.beta) for n in ns)
+    gj = [abs(reference - value) for value in _sums_of([w * f(x) for x, w in gauss_jacobi])]
+    gl = [abs(reference - value) for value in _sums_of(
+        [rule.weights * weight(rule.nodes) * f(rule.nodes)
+         for rule in rules_for(Family.GAUSS_LEGENDRE, ns, UNIT_WEIGHT)])]
     cc = [abs(reference - value)
           for value in apply_each(rules_for(Family.CLENSHAW_CURTIS, ns, weight), f)]
     if fit_window is None:

@@ -19,7 +19,9 @@ with b_j the coefficients (plain sum, q = sum b_j T_j) of the polynomial
 interpolating f on the grid and m_j the modified moments.  interp_rules
 gives the x_i and w_i of many grids from one moment vector: w is the
 transpose of the coefficient transform applied to m, one DCT/DST per
-grid, while one cos (and sin) runs over the angles of all the grids.
+grid, while one cos (and sin) runs over the angles of all the grids
+(and, for Fejer-1 on more than one grid, the DCT-III's pre- and
+post-passes over all the grids, leaving one real FFT per grid).
 interp_weights is its one-grid case, and make_points shares its angle
 code without the transform.  Expansion coefficients a_j follow the
 primed convention (first term halved): f = a_0/2 + sum_{j>=1} a_j T_j.
@@ -286,6 +288,47 @@ def _dct3(c: np.ndarray) -> np.ndarray:
     return v[1:n + 1]
 
 
+def _dct3_grids(m: np.ndarray, ns: list, bounds: np.ndarray) -> np.ndarray:
+    """scipy.fft.dct(m[:n], type=3) for every n in ns, concatenated at
+    bounds: pocketfft's type-3 pass.
+
+    For k = 1..(n+1)/2-1 and kc = n-k, (c_k, c_kc) become
+    (tw_{k-1} t2 + tw_{kc-1} t1, tw_{k-1} t1 - tw_{kc-1} t2) with
+    t1 = c_k + c_kc and t2 = c_k - c_kc, an even n's middle term is scaled
+    by 2 tw_{n/2-1}, then the real FFT, read in halfcomplex order
+    [R_0, R_1, I_1, R_2, ...], turns each pair (R_j, I_j) into
+    (R_j - I_j, I_j + R_j).  Both passes run once over all the grids,
+    through gathered indices, with each grid's twiddle table placed at
+    its own bounds (it has n entries); only the real FFT runs per grid.
+    The same operations as _dct3, in the same order, so the same bits;
+    building the indices costs about 40 us more than _dct3 on one grid.
+    """
+    x = np.concatenate([m[:n] for n in ns])
+    tw = np.concatenate(_twiddle.get(ns, _twiddles))
+    sizes = np.asarray(ns)
+    pairs = (sizes - 1) // 2  # k = 1..pairs in each grid
+    k = np.arange(pairs.sum()) - np.repeat(np.cumsum(pairs) - pairs, pairs) + 1
+    first = np.repeat(bounds[:-1], pairs)
+    i, ic = first + k, first + (np.repeat(sizes, pairs) - k)  # c_k, c_kc
+    a, b = x[i], x[ic]
+    ta, tb = tw[i - 1], tw[ic - 1]
+    t1, t2 = a + b, a - b
+    x[i] = ta * t2 + tb * t1
+    x[ic] = ta * t1 - tb * t2
+    middle = (bounds[:-1] + sizes // 2)[sizes % 2 == 0]
+    x[middle] *= 2.0 * tw[middle - 1]
+    w = np.empty_like(x)
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        v = np.fft.rfft(x[lo:hi]).view(float)  # [R_0, 0, R_1, I_1, ...]
+        w[lo:hi] = v[1:hi - lo + 1]
+        w[lo] = v[0]
+    re, im = first + 2 * k - 1, first + 2 * k  # R_k, I_k in w
+    a, b = w[re], w[im]
+    w[re] = a - b
+    w[im] = b + a
+    return w
+
+
 def _dct2(c: np.ndarray) -> np.ndarray:
     """scipy.fft.dct(c, type=2): pocketfft's type-2 pass, the type-3 one reversed.
 
@@ -347,10 +390,13 @@ def interp_rules(family: Family, ns, m) -> tuple[np.ndarray, np.ndarray, np.ndar
         raise ValueError(f"{top}-point rules need {top} moments, got {len(m)}")
     if family is Family.FEJER2:
         m = _fejer2_moment_fold(m[:top])
-    transform = _TRANSFORMS[family]
-    w = np.empty(bounds[-1])
-    for n, a, b in zip(ns, bounds.tolist(), bounds[1:].tolist()):
-        w[a:b] = transform(m[:n])
+    if family is Family.FEJER1 and len(ns) > 1:
+        w = _dct3_grids(m, ns, bounds)
+    else:
+        transform = _TRANSFORMS[family]
+        w = np.empty(bounds[-1])
+        for n, a, b in zip(ns, bounds.tolist(), bounds[1:].tolist()):
+            w[a:b] = transform(m[:n])
     if family is Family.FEJER2:
         w *= np.sin(theta)
     w /= half

@@ -21,6 +21,10 @@ builds a weighted sweep lazily, one chunk per step, from one moment
 table; apply_each calls the integrand once per chunk.  Built rules are
 kept in two chebcore._Store instances bounded in total points: the
 Gauss-Legendre one holds a whole n = 10..1000 sweep, the weighted one a chunk.
+
+Every sum of a rule is correctly rounded, equal to math.fsum bit for bit;
+_rounded_sums gives the sums of all the rules of a chunk at once and
+leaves to math.fsum only the few it cannot certify.
 """
 
 import math
@@ -253,10 +257,76 @@ def rule_for(family: Family, n: int, weight: WeightSpec) -> QuadratureRule:
     return next(rules_for(family, (n,), weight))
 
 
+def _rounded_sums(products: np.ndarray, bounds) -> list[float]:
+    """math.fsum(products[a:b]) for every segment [a, b) of bounds (a < b),
+    bit for bit, with the whole array summed in a few NumPy calls.
+
+    The extraction of Rump, Ogita & Oishi ("Accurate floating-point
+    summation I", SISC 31, 2008), with u = 2^-53 and a segment p_1..p_n:
+
+    * sigma = 2^(e + k), with max|p_i| < 2^e (frexp) and n + 2 <= 2^k, so
+      |p_i| <= sigma / 4 and n max|p_i| < sigma.  Then q_i = (sigma + p_i)
+      - sigma and p'_i = p_i - q_i are exact (FastTwoSum: |p_i| <= sigma),
+      and each q_i is a multiple of u sigma.  Every partial sum of the q_i
+      is a multiple of u sigma below sigma in magnitude (for n < 2^27),
+      hence a float: Q = sum q_i comes out exact in any order.
+    * S = sum p_i = Q + sum p'_i.  Any order of summing n terms errs by at
+      most g = (n - 1) u / (1 - (n - 1) u) times the sum of their absolute
+      values (additions are exact on underflow), so the computed P' and
+      A = sum |p'_i| give |S - Q - P'| <= g / (1 - g) A <= 2 n u A
+      (n <= 2^26).
+    * TwoSum gives Q + P' = r + t exactly, so |S - r| <= |t| + 2 n u A.
+      Computed with three roundings and the factor (1 + 8u), this bound
+      comes out at most 2^-1073 below its true value, and that only where
+      a product underflows.
+    * fsum returns the correctly rounded S, which is r when S lies
+      strictly inside r's rounding interval.  The narrower half of that
+      interval is half the gap from |r| to the next float towards zero.
+      With |r| >= 2^-960 that half gap is a power of two of at least
+      2^-1014, and a float below it is at least 2^-1067 below it, so a
+      computed bound below the half gap certifies r.
+
+    The rows that fail (zero r, whose sign only fsum knows; a tie or a
+    near-tie; |r| < 2^-960; non-finite values; an overflowing sigma, where
+    fsum may raise OverflowError) are summed by math.fsum itself.
+    """
+    bounds = np.asarray(bounds)
+    starts, sizes = bounds[:-1], np.diff(bounds)
+    with np.errstate(all="ignore"):  # an overflowing sigma or a non-finite p makes r a NaN
+        top = np.maximum.reduceat(np.abs(products), starts)
+        sigma = np.ldexp(1.0, np.frexp(top)[1] + np.frexp(sizes + 1.0)[1])
+        spread = np.repeat(sigma, sizes)
+        high = (spread + products) - spread
+        low = products - high
+        q = np.add.reduceat(high, starts)
+        p = np.add.reduceat(low, starts)
+        r = q + p
+        z = r - q
+        t = (q - (r - z)) + (p - z)
+        bound = (np.abs(t) + sizes * 2.0 ** -52 * np.add.reduceat(np.abs(low), starts)) \
+            * (1.0 + 2.0 ** -50)
+        mag = np.abs(r)
+        certain = ((bound < (mag - np.nextafter(mag, 0.0)) * 0.5) & (mag >= 2.0 ** -960)
+                   & (sizes <= 1 << 26))
+    sums = r.tolist()
+    for i in np.flatnonzero(~certain).tolist():
+        sums[i] = math.fsum(products[bounds[i]:bounds[i + 1]].tolist())
+    return sums
+
+
+def _sums_of(rows: list[np.ndarray]) -> list[float]:
+    """math.fsum of each nonempty 1-D array, bit for bit, in one
+    _rounded_sums call."""
+    if not rows:
+        return []
+    return _rounded_sums(np.concatenate(rows), np.cumsum([0, *map(len, rows)]))
+
+
 def apply_each(rules: Iterable[QuadratureRule], f) -> list[float]:
     """apply for every rule, in order, one chunk of rules at a time: ``f``
     is called once over a chunk's concatenated nodes (so it must act
-    elementwise), or node by node if it is scalar-only."""
+    elementwise), or node by node if it is scalar-only, and the chunk's
+    sums come from one _rounded_sums call."""
     sums = []
     for chunk in _chunks(rules, _points, _CHUNK_POINTS):
         nodes = np.concatenate([rule.nodes for rule in chunk])
@@ -268,16 +338,14 @@ def apply_each(rules: Iterable[QuadratureRule], f) -> list[float]:
             fv = np.array([float(f(x)) for x in nodes])
         if not np.all(np.isfinite(fv)):
             raise ValueError("integrand returned a non-finite value at a quadrature node")
-        products = (np.concatenate([rule.weights for rule in chunk]) * fv).tolist()
-        start = 0
-        for rule in chunk:
-            sums.append(math.fsum(products[start:start + rule.n]))
-            start += rule.n
+        products = np.concatenate([rule.weights for rule in chunk]) * fv
+        sums += _rounded_sums(products, np.cumsum([0, *map(_points, chunk)]))
     return sums
 
 
 def apply(rule: QuadratureRule, f) -> float:
-    """Apply the rule to a function: sum w_j f(x_j) with compensated summation.
+    """Apply the rule to a function: sum w_j f(x_j), correctly rounded,
+    equal to math.fsum bit for bit.
 
     ``f`` may be vectorized over arrays or scalar-only; non-finite values
     at any node raise.
@@ -286,5 +354,6 @@ def apply(rule: QuadratureRule, f) -> float:
 
 
 def weight_abs_sum(rule: QuadratureRule) -> float:
-    """Sum of the absolute values of the quadrature weights."""
-    return math.fsum(np.abs(rule.weights).tolist())
+    """Sum of the absolute values of the quadrature weights, correctly
+    rounded (math.fsum bit for bit)."""
+    return _sums_of([np.abs(rule.weights)])[0]

@@ -18,6 +18,7 @@ from chebquad.chebcore import (
     _dct1,
     _dct2,
     _dct3,
+    _dct3_grids,
     _dst1,
     _fejer2_moment_fold,
     _build_twiddle,
@@ -117,6 +118,21 @@ def test_transforms_equal_scipy_fft_bit_for_bit(ours, kind, reference):
             before = c.copy()
             assert np.array_equal(_bits(ours(c)), _bits(reference(c, type=kind))), n
             assert np.array_equal(_bits(c), _bits(before)), n  # the input is left alone
+
+
+def test_dct3_grids_equal_one_grid_dct3_bit_for_bit():
+    # the batched passes against the one-grid transform the test above pins
+    rng = np.random.default_rng(2014)
+    ns = [*range(1, 300), 1, 2, 4096, 4097]
+    bounds = np.cumsum([0, *ns])
+    for m in (rng.standard_normal(4097),
+              rng.standard_normal(4097) * np.exp(rng.uniform(-30.0, 30.0, 4097)),
+              -np.zeros(4097)):
+        before = m.copy()
+        w = _dct3_grids(m, ns, bounds)
+        for n, a, b in zip(ns, bounds, bounds[1:]):
+            assert np.array_equal(_bits(w[a:b]), _bits(_dct3(m[:n]))), n
+        assert np.array_equal(_bits(m), _bits(before))
 
 
 def test_twiddle_store_is_bounded_in_floats():

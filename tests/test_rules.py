@@ -330,6 +330,109 @@ def test_apply_each_equals_per_rule_sums():
     assert apply(sweep[40], np.cos) == apply_each(sweep, np.cos)[40]
 
 
+def _counting_fsum(monkeypatch) -> list:
+    """Count the calls of math.fsum (rules.math is the math module)."""
+    calls, fsum = [], math.fsum
+
+    def counted(values):
+        calls.append(1)
+        return fsum(values)
+
+    monkeypatch.setattr(rules.math, "fsum", counted)
+    return calls
+
+
+def test_apply_each_calls_fsum_only_for_uncertified_rules(monkeypatch):
+    sweep = list(rules_for(Family.FEJER1, range(100, 1001), LOG))
+    f = lambda x: np.exp(x) * np.abs(x - 0.3) ** 0.7
+    expected = [math.fsum(r.weights * f(r.nodes)) for r in sweep]
+    calls = _counting_fsum(monkeypatch)
+    assert apply_each(sweep, f) == expected
+    assert len(calls) <= 3  # the fallbacks, not one call per rule
+
+
+def _bits_and_sign(values):
+    return [(math.copysign(1.0, v), float(v).hex()) for v in values]
+
+
+def _fsum_or_overflow(row):
+    try:
+        return math.fsum(row.tolist())
+    except OverflowError:
+        return OverflowError
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_subnormal = st.integers(-(1 << 52), 1 << 52).map(lambda i: i * 5e-324)
+_huge = st.floats(1e307, 1.7976931348623157e308).flatmap(lambda x: st.sampled_from([x, -x]))
+_sizes = st.one_of(st.just(1), st.integers(1, 7).flatmap(
+    lambda k: st.sampled_from([(1 << k) - 1, 1 << k, (1 << k) + 1])))
+
+
+@st.composite
+def _cancelling(draw):
+    """Pairs y, -y of any size around a small residue, shuffled."""
+    big = draw(st.lists(_finite, min_size=1, max_size=20))
+    small = draw(st.lists(st.floats(-1.0, 1.0), max_size=4))
+    return draw(st.permutations([*big, *(-y for y in big), *small]))
+
+
+@st.composite
+def _tie(draw):
+    """b + ulp(b)/2, exactly halfway between two floats, with cancelling
+    pairs and possibly a tie-breaking nudge."""
+    b = draw(st.floats(1e-290, 1e290)) * draw(st.sampled_from([1.0, -1.0]))
+    pairs = draw(st.lists(st.floats(-1e300, 1e300), max_size=4))
+    nudge = draw(st.sampled_from([[], [5e-324], [-math.ulp(b) / 1024]]))
+    return draw(st.permutations([b, math.copysign(math.ulp(b) / 2, b), *pairs,
+                                 *(-y for y in pairs), *nudge]))
+
+
+def _sized(values):
+    return _sizes.flatmap(lambda n: st.lists(values, min_size=n, max_size=n))
+
+
+_rows = st.lists(st.one_of(
+    _sized(_finite), _sized(_subnormal), _sized(_huge),
+    _sized(st.sampled_from([0.0, -0.0])), _sized(st.floats(-1e3, 1e3)),
+    _cancelling(), _tie(),
+).map(lambda row: np.array(row, dtype=float)), min_size=1, max_size=8)
+
+
+@given(rows=_rows)
+@settings(max_examples=400, deadline=None)
+def test_rounded_sums_equal_fsum_bit_for_bit(rows):
+    expected = [_fsum_or_overflow(row) for row in rows]
+    bounds = np.cumsum([0, *map(len, rows)])
+    if OverflowError in expected:
+        with pytest.raises(OverflowError):
+            rules._rounded_sums(np.concatenate(rows), bounds)
+        rows = [row for row, value in zip(rows, expected) if value is not OverflowError]
+        expected = [value for value in expected if value is not OverflowError]
+        bounds = np.cumsum([0, *map(len, rows)])
+    if rows:
+        got = rules._rounded_sums(np.concatenate(rows), bounds)
+        assert _bits_and_sign(got) == _bits_and_sign(expected)
+
+
+def test_rounded_sums_fall_back_to_fsum_where_uncertified(monkeypatch):
+    rows = [np.array([3.0, -1.25, 0.5]),         # certified
+            np.array([1.0, 2.0 ** -53]),         # a tie: fsum rounds to even, 1.0
+            # just below the tie under 1.0, whose lower gap is the narrow one:
+            # the rounded remainder ties back up to 1.0, fsum gives 1 - 2^-53
+            np.array([1.0, -2.0 ** -54, -0.4 * 2.0 ** -108]),
+            np.array([0.0, -0.0]), -np.zeros(3),  # zero: only fsum knows its sign
+            np.array([1e-300]),                  # |sum| < 2^-960
+            np.array([2.0 ** 1022, 2.0 ** 1022, -2.0 ** 1022])]  # sigma overflows
+    expected = [math.fsum(row.tolist()) for row in rows]
+    calls = _counting_fsum(monkeypatch)
+    got = rules._rounded_sums(np.concatenate(rows), np.cumsum([0, *map(len, rows)]))
+    assert _bits_and_sign(got) == _bits_and_sign(expected)
+    assert len(calls) == len(rows) - 1
+    with pytest.raises(OverflowError):  # fsum's intermediate overflow
+        rules._rounded_sums(np.array([1e308, 1e308, -1e308]), [0, 3])
+
+
 def test_apply_each_rejects_non_finite_values_in_a_later_chunk():
     first, second = rules_for(Family.FEJER1, [10000, 10001], JAC)  # one chunk each
     bad = second.nodes[5]
