@@ -32,7 +32,7 @@ import numpy as np
 from .chebcore import Family
 from .errors import NumericalFailure
 from .moments import UNIT_WEIGHT, WeightKind, WeightSpec, min_bar, moments_for
-from .rules import _sums_of, apply_each, rules_for
+from .rules import apply_each, rules_for, weight_abs_sum
 
 __all__ = [
     "TestKind",
@@ -513,9 +513,11 @@ def weight_sum_study(
     interpolatory weight sums must converge to it.
     """
     target = abs(moments_for(weight, 0).values[0])
-    built = list(rules_for(family, ns, weight))
-    totals = _sums_of([np.abs(rule.weights) for rule in built])  # weight_abs_sum of each
-    return [(rule.n, total, total - target) for rule, total in zip(built, totals)]
+    rows = []
+    for rule in rules_for(family, ns, weight):
+        total = weight_abs_sum(rule)
+        rows.append((rule.n, total, total - target))
+    return rows
 
 
 def moment_decay_exponent(
@@ -581,11 +583,12 @@ def gauss_open_problem_study(
         raise ValueError("the open-problem experiment needs an X^s test function")
     ns = _sweep_ns(ns)
     reference, _ = oracle_integral(weight, f)
-    gauss_jacobi = (scipy.special.roots_jacobi(n, weight.alpha, weight.beta) for n in ns)
-    gj = [abs(reference - value) for value in _sums_of([w * f(x) for x, w in gauss_jacobi])]
-    gl = [abs(reference - value) for value in _sums_of(
-        [rule.weights * weight(rule.nodes) * f(rule.nodes)
-         for rule in rules_for(Family.GAUSS_LEGENDRE, ns, UNIT_WEIGHT)])]
+    gj = []
+    for n in ns:
+        x, w = scipy.special.roots_jacobi(n, weight.alpha, weight.beta)
+        gj.append(abs(reference - math.fsum((w * f(x)).tolist())))
+    gl = [abs(reference - math.fsum((rule.weights * weight(rule.nodes) * f(rule.nodes)).tolist()))
+          for rule in rules_for(Family.GAUSS_LEGENDRE, ns, UNIT_WEIGHT)]
     cc = [abs(reference - value)
           for value in apply_each(rules_for(Family.CLENSHAW_CURTIS, ns, weight), f)]
     if fit_window is None:

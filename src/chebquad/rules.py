@@ -314,14 +314,6 @@ def _rounded_sums(products: np.ndarray, bounds) -> list[float]:
     return sums
 
 
-def _sums_of(rows: list[np.ndarray]) -> list[float]:
-    """math.fsum of each nonempty 1-D array, bit for bit, in one
-    _rounded_sums call."""
-    if not rows:
-        return []
-    return _rounded_sums(np.concatenate(rows), np.cumsum([0, *map(len, rows)]))
-
-
 def apply_each(rules: Iterable[QuadratureRule], f) -> list[float]:
     """apply for every rule, in order, one chunk of rules at a time: ``f``
     is called once over a chunk's concatenated nodes (so it must act
@@ -356,4 +348,4 @@ def apply(rule: QuadratureRule, f) -> float:
 def weight_abs_sum(rule: QuadratureRule) -> float:
     """Sum of the absolute values of the quadrature weights, correctly
     rounded (math.fsum bit for bit)."""
-    return _sums_of([np.abs(rule.weights)])[0]
+    return _rounded_sums(np.abs(rule.weights), [0, rule.n])[0]

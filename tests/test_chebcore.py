@@ -17,7 +17,6 @@ from chebquad.chebcore import (
     Family,
     _dct1,
     _dct2,
-    _dct3,
     _dct3_grids,
     _dst1,
     _fejer2_moment_fold,
@@ -99,9 +98,13 @@ def test_make_points_rejects_bad_requests():
 _TRANSFORM_SIZES = [*range(1, 2049), 4096, 4097, 10007]
 
 
+def _dct3_one_grid(c):
+    return _dct3_grids(c, [len(c)], np.array([0, len(c)]))
+
+
 @pytest.mark.parametrize("ours, kind, reference", [
     (_dct1, 1, scipy.fft.dct), (_dst1, 1, scipy.fft.dst),
-    (_dct2, 2, scipy.fft.dct), (_dct3, 3, scipy.fft.dct),
+    (_dct2, 2, scipy.fft.dct), (_dct3_one_grid, 3, scipy.fft.dct),
 ], ids=["dct1", "dst1", "dct2", "dct3"])
 def test_transforms_equal_scipy_fft_bit_for_bit(ours, kind, reference):
     rng = np.random.default_rng(2013)
@@ -120,8 +123,8 @@ def test_transforms_equal_scipy_fft_bit_for_bit(ours, kind, reference):
             assert np.array_equal(_bits(c), _bits(before)), n  # the input is left alone
 
 
-def test_dct3_grids_equal_one_grid_dct3_bit_for_bit():
-    # the batched passes against the one-grid transform the test above pins
+def test_dct3_grids_equal_scipy_fft_on_every_grid_bit_for_bit():
+    # many grids at once, of both parities, repeats and n = 1 among them
     rng = np.random.default_rng(2014)
     ns = [*range(1, 300), 1, 2, 4096, 4097]
     bounds = np.cumsum([0, *ns])
@@ -131,7 +134,7 @@ def test_dct3_grids_equal_one_grid_dct3_bit_for_bit():
         before = m.copy()
         w = _dct3_grids(m, ns, bounds)
         for n, a, b in zip(ns, bounds, bounds[1:]):
-            assert np.array_equal(_bits(w[a:b]), _bits(_dct3(m[:n]))), n
+            assert np.array_equal(_bits(w[a:b]), _bits(scipy.fft.dct(m[:n], type=3))), n
         assert np.array_equal(_bits(m), _bits(before))
 
 
