@@ -57,7 +57,6 @@ from .rules import (
     QuadratureRule,
     apply,
     apply_each,
-    build_weighted_rule,
     gauss_legendre,
     rule_for,
     rules_for,
@@ -86,7 +85,6 @@ __all__ = [
     "alias_reduce",
     "apply",
     "apply_each",
-    "build_weighted_rule",
     "cheb_expansion_coeffs",
     "chebyshev_T",
     "convergence_study",

@@ -8,7 +8,9 @@ the rule value of T_m is then +-(the rule value of T_j), j = d <= n+1;
 on Gauss-Legendre the fold gives the leading 2/(1-4r^2) and pi/2 terms of
 the error.  This module provides the canonical (p, j, sign) reduction,
 the exact errors E_n[T_m] = I[T_m] - I_n[T_m] of every family with their
-predictions, and a truncated error-series consistency check.
+predictions, and a truncated error-series consistency check.  Every rule
+value I_n[T_m] comes from one correctly rounded node-sum path, and the
+series terms are the E_n[T_m] that `alias-table` prints.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .chebcore import CHEBYSHEV_FAMILIES, Family, _checked_ns, cheb_expansion_coeffs, chebyshev_T
+from .chebcore import CHEBYSHEV_FAMILIES, Family, _checked_ns, cheb_expansion_coeffs
 from .moments import WeightSpec, moments_for
-from .rules import QuadratureRule, apply, rule_for
+from .rules import _CHUNK_POINTS, QuadratureRule, _chunks, _rounded_sums, apply, rule_for
 
 
 class ReducedForm(enum.Enum):
@@ -123,8 +125,16 @@ def _reduce(family: Family, n: int, m: int) -> tuple:
     return p, d, sign, form, None
 
 
-def _node_sum(rule: QuadratureRule, degree: int) -> float:
-    return math.fsum((rule.weights * chebyshev_T(degree, rule.nodes)).tolist())
+def _rule_values(rule: QuadratureRule, degrees: list[int]) -> list[float]:
+    """I_n[T_m] for every m in degrees, correctly rounded: the products
+    w_i cos(m arccos x_i) (chebyshev_T's arithmetic) of at most _CHUNK_POINTS
+    at a time, summed by one rules._rounded_sums call per chunk."""
+    theta = np.arccos(np.clip(rule.nodes, -1.0, 1.0))
+    values = []
+    for chunk in _chunks(degrees, lambda _: rule.n, _CHUNK_POINTS):
+        products = rule.weights * np.cos(np.multiply.outer(np.asarray(chunk, dtype=float), theta))
+        values += _rounded_sums(products.ravel(), range(0, products.size + 1, rule.n))
+    return values
 
 
 def _legendre_exact(m: int) -> float:
@@ -138,18 +148,22 @@ def alias_errors(family: Family, n: int, ms: Iterable[int], weight: WeightSpec) 
     """Exact aliasing errors E_n[T_m] = I[T_m] - I_n[T_m] and their
     predictions, for every degree m in ms (integers), on one rule_for rule.
 
-    ``computed`` subtracts the direct node sum from the exact integral;
+    ``computed`` subtracts the node sum from the exact integral;
     ``predicted`` is exact - sign * value, the value of the reduced form
     in place of the node sum: M_j for j <= n-1, the rule's own value of
     T_n / T_{n+1} at the Fejer-2 edge, zero for odd multiples of n on
     Fejer-1, and the leading 2/(1-4r^2) or pi/2 on Gauss-Legendre (the
-    exact integral itself, a zero prediction, for GAUSS_EXACT).  Each
-    Chebyshev m takes its own moment table M_0..M_m.
+    exact integral itself, a zero prediction, for GAUSS_EXACT).  Every m is
+    checked before any node sum; the sums all come from one _rule_values
+    call.  Each Chebyshev m takes its own moment table M_0..M_m.
     """
     rule = rule_for(family, n, weight)
+    reduced = [(m, *_reduce(rule.family, rule.n, m)) for m in map(operator.index, ms)]
+    edges = (rule.n, rule.n + 1) if rule.family is Family.FEJER2 else ()
+    degrees = sorted({m for m, *_ in reduced}.union(edges))
+    node_sum = dict(zip(degrees, _rule_values(rule, degrees)))
     records = []
-    for m in map(operator.index, ms):
-        p, j, sign, form, r = _reduce(rule.family, rule.n, m)
+    for m, p, j, sign, form, r in reduced:
         if rule.family is Family.GAUSS_LEGENDRE:
             exact, leading = _legendre_exact(m), 0.0
         else:
@@ -164,11 +178,11 @@ def alias_errors(family: Family, n: int, ms: Iterable[int], weight: WeightSpec) 
         elif form is ReducedForm.FEJER1_ZERO:
             value = 0.0
         elif form in (ReducedForm.FEJER2_EDGE_N, ReducedForm.FEJER2_EDGE_N1):
-            value = _node_sum(rule, j)
+            value = node_sum[j]
         else:
             # j <= n-1: the rule integrates T_j exactly, so its value is M_j.
             value = table[j]
-        computed = exact - _node_sum(rule, m)
+        computed = exact - node_sum[m]
         predicted = exact - sign * value
         records.append(AliasRecord(
             family=rule.family, n=rule.n, m=m, reduced_form=form, p=p, j=j, sign=sign,
@@ -176,17 +190,6 @@ def alias_errors(family: Family, n: int, ms: Iterable[int], weight: WeightSpec) 
             leading=leading, r=r,
         ))
     return records
-
-
-def _single_errors(rule: QuadratureRule, degrees: np.ndarray) -> np.ndarray:
-    """E_n[T_j] of the rule for every j in ``degrees`` via direct node sums."""
-    if rule.family is Family.GAUSS_LEGENDRE:
-        exact = np.array([_legendre_exact(int(d)) for d in degrees])
-    else:
-        exact = moments_for(rule.weight, int(degrees.max())).values[degrees]
-    theta = np.arccos(np.clip(rule.nodes, -1.0, 1.0))
-    node_vals = np.cos(np.outer(degrees, theta))
-    return exact - node_vals @ rule.weights
 
 
 def error_series_check(
@@ -202,6 +205,7 @@ def error_series_check(
     E_n[f] = sum_{j >= start} a_j E_n[T_j] with a_j the Chebyshev
     coefficients of f and start = n for the interpolatory Chebyshev
     rules (2n for Gauss-Legendre, whose exactness reaches degree 2n-1).
+    The E_n[T_j] are alias_errors' ``computed`` values; sums are correctly rounded.
     Returns |E_n[f] - partial sum up to ``truncation``|, which shrinks
     as the truncation grows whenever the coefficients are absolutely
     summable.
@@ -220,6 +224,7 @@ def error_series_check(
     count = truncation + 1
     oversample = max(4 * count, 4096)
     coeffs = cheb_expansion_coeffs(f, count, oversample)
-    degrees = np.arange(start, truncation + 1)
-    series = float(coeffs[degrees] @ _single_errors(rule, degrees))
+    errors = [rec.computed for rec in alias_errors(rule.family, rule.n,
+                                                   range(start, count), weight)]
+    series = _rounded_sums(coeffs[start:] * errors, [0, len(errors)])[0]
     return abs(measured - series)

@@ -72,14 +72,14 @@ def chebyshev_T(j: int, x):
     """T_j(x) = cos(j arccos x), evaluated trigonometrically.
 
     j is an integer (operator.index).  Accepts a scalar or array ``x``
-    with |x| <= 1 (a 1e-14 slack is clamped; anything beyond raises).
+    with |x| <= 1 (a 1e-14 slack is clamped; anything beyond, or NaN, raises).
     """
     j = operator.index(j)
     if j < 0:
         raise ValueError(f"degree must be nonnegative, got {j}")
     arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(arr) > 1.0 + 1e-14):
-        raise ValueError("argument outside [-1, 1]")
+    if not np.all(np.abs(arr) <= 1.0 + 1e-14):
+        raise ValueError("argument outside [-1, 1] or NaN")
     vals = np.cos(j * np.arccos(np.clip(arr, -1.0, 1.0)))
     return float(vals) if np.isscalar(x) or arr.ndim == 0 else vals
 
@@ -344,7 +344,7 @@ def interp_rules(family: Family, ns, m) -> tuple[np.ndarray, np.ndarray, np.ndar
         ns: grid sizes, integers (operator.index) n >= 1 (Clenshaw-Curtis
             n >= 2), in any order, repeats allowed.
         m: modified moments m_0..m_K, m_j = integral of w T_j, with
-            K >= max(ns) - 1; the n-point rule takes m_0..m_{n-1}.
+            K >= max(ns) - 1; the n-point rule takes m_0..m_{n-1} (finite).
 
     Returns:
         (points, weights, bounds), the rules concatenated in the order of
@@ -358,6 +358,8 @@ def interp_rules(family: Family, ns, m) -> tuple[np.ndarray, np.ndarray, np.ndar
     top = max(ns, default=0)
     if len(m) < top:
         raise ValueError(f"{top}-point rules need {top} moments, got {len(m)}")
+    if not np.all(np.isfinite(m[:top])):
+        raise ValueError("moments must be finite")
     if family is Family.FEJER2:
         m = _fejer2_moment_fold(m[:top])
     if family is Family.FEJER1:
@@ -400,12 +402,14 @@ def cheb_expansion_coeffs(f, count: int, oversample: int) -> np.ndarray:
     by an `oversample`-point Gauss-Chebyshev discretization (a DCT of f
     at Fejer-1 points).  Coefficients are primed-convention: the series
     reads f = a_0/2 + sum_{j>=1} a_j T_j.  Accuracy is limited by the
-    aliasing of coefficients beyond `oversample`.
+    aliasing of coefficients beyond `oversample`.  Non-finite f values raise.
     """
     if count < 1:
         raise ValueError("count must be positive")
     if oversample < 4 * count:
         raise ValueError(f"oversample must be >= 4*count = {4 * count}, got {oversample}")
     fv = np.asarray(f(make_points(Family.FEJER1, oversample)), dtype=float)
+    if not np.all(np.isfinite(fv)):
+        raise ValueError("f returned a non-finite value at a sample point")
     a = _dct2(fv) / oversample
     return a[:count].copy()

@@ -21,6 +21,7 @@ builds a weighted sweep lazily, one chunk per step, from one moment
 table; apply_each calls the integrand once per chunk.  Built rules are
 kept in two chebcore._Store instances bounded in total points: the
 Gauss-Legendre one holds a whole n = 10..1000 sweep, the weighted one a chunk.
+Only rules_for reads or fills them.
 
 Every sum of a rule is correctly rounded, equal to math.fsum bit for bit;
 _rounded_sums gives the sums of all the rules of a chunk at once and
@@ -34,13 +35,12 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .chebcore import CHEBYSHEV_FAMILIES, Family, _checked_ns, _Store, interp_rules
+from .chebcore import Family, _checked_ns, _Store, interp_rules
 from .errors import NumericalFailure
 from .moments import UNIT_WEIGHT, WeightSpec, moments_for
 
 __all__ = [
     "QuadratureRule",
-    "build_weighted_rule",
     "gauss_legendre",
     "rule_for",
     "rules_for",
@@ -206,8 +206,7 @@ def gauss_legendre(n: int) -> QuadratureRule:
     symmetric about 0 by construction); weights are
     2 / ((1 - x^2) P_n'(x)^2).  n must be an integer (operator.index).
     """
-    ns = _checked_ns(Family.GAUSS_LEGENDRE, (n,))[1]
-    return _gauss_legendre_cached.get(ns, _gauss_legendre_rules)[0]
+    return rule_for(Family.GAUSS_LEGENDRE, n, UNIT_WEIGHT)
 
 
 def _weighted_rules(family: Family, ns: list[int], weight: WeightSpec) -> Iterator[QuadratureRule]:
@@ -222,15 +221,6 @@ def _weighted_rules(family: Family, ns: list[int], weight: WeightSpec) -> Iterat
 
     for chunk in _chunks(ns, lambda n: n, _CHUNK_POINTS):
         yield from _weighted_rule_cached.get([(family, n, weight) for n in chunk], build)
-
-
-def build_weighted_rule(family: Family, n: int, weight: WeightSpec) -> QuadratureRule:
-    """The interpolatory rule on the n-point Chebyshev grid for a
-    Jacobi or log-Jacobi weight: rule_for, Chebyshev families only."""
-    family = Family(family)
-    if family not in CHEBYSHEV_FAMILIES:
-        raise ValueError(f"weighted rules exist for Chebyshev families only, got {family}")
-    return rule_for(family, n, weight)
 
 
 def rules_for(family: Family, ns: Iterable[int], weight: WeightSpec) -> Iterator[QuadratureRule]:

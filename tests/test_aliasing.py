@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebquad import rules
+from chebquad import aliasing, rules
 from chebquad.aliasing import ReducedForm, alias_errors, alias_reduce, error_series_check
-from chebquad.chebcore import CHEBYSHEV_FAMILIES, Family, chebyshev_T
-from chebquad.moments import WeightKind, WeightSpec, jacobi_moments
+from chebquad.analysis import abspow, reference_integral
+from chebquad.chebcore import CHEBYSHEV_FAMILIES, Family, cheb_expansion_coeffs, chebyshev_T
+from chebquad.moments import WeightKind, WeightSpec, jacobi_moments, moments_for
 from chebquad.rules import apply, gauss_legendre, rule_for
 
 UNIT = WeightSpec(WeightKind.JACOBI, 0.0, 0.0)
@@ -161,6 +163,82 @@ def test_alias_identities_survive_large_degrees(family):
         assert rec.residual <= 1e-11, (family, m)
 
 
+# --- one node-sum path, bit for bit ---------------------------------------------
+
+
+def _reference_node_sum(rule, m):
+    """The rule's value of T_m as a math.fsum of chebyshev_T node values."""
+    return math.fsum((rule.weights * chebyshev_T(m, rule.nodes)).tolist())
+
+
+def _bits(x):
+    return float(x).hex()  # tells -0.0 from 0.0
+
+
+@pytest.mark.parametrize("weight", [JAC, LOG], ids=["jacobi", "log"])
+def test_alias_errors_equal_fsum_of_chebyshev_T_bit_for_bit(weight):
+    forms = set()
+    for family in (*CHEBYSHEV_FAMILIES, Family.GAUSS_LEGENDRE):
+        w = UNIT if family is Family.GAUSS_LEGENDRE else weight
+        for n in (1, 2, 3, 8, 41, 100):
+            if family is Family.CLENSHAW_CURTIS and n == 1:
+                continue
+            rule = rule_for(family, n, w)
+            for rec in alias_errors(family, n, range(3 * n + 3), w):
+                m = rec.m
+                if family is Family.GAUSS_LEGENDRE:
+                    exact = 0.0 if m % 2 else 2.0 / (1.0 - m * m)
+                else:
+                    exact = moments_for(w, m).values[m]
+                assert _bits(rec.computed) == _bits(exact - _reference_node_sum(rule, m)), \
+                    (family, n, m)
+                if rec.reduced_form in (ReducedForm.FEJER2_EDGE_N, ReducedForm.FEJER2_EDGE_N1):
+                    edge = rec.sign * _reference_node_sum(rule, rec.j)
+                    assert _bits(rec.predicted) == _bits(exact - edge), (n, m)
+                forms.add(rec.reduced_form)
+    assert forms == set(ReducedForm)
+
+
+def test_alias_errors_check_every_degree_before_any_node_sum(monkeypatch):
+    sums = []
+    monkeypatch.setattr(aliasing, "_rule_values", lambda rule, degrees: sums.append(1))
+    for family in (*CHEBYSHEV_FAMILIES, Family.GAUSS_LEGENDRE):
+        weight = UNIT if family is Family.GAUSS_LEGENDRE else JAC
+        with pytest.raises(ValueError, match="nonnegative"):
+            alias_errors(family, 8, [3, -1], weight)
+        with pytest.raises(TypeError):
+            alias_errors(family, 8, [3, 2.5], weight)
+    assert sums == []
+
+
+@pytest.mark.parametrize("family, n, weight, truncation", [
+    (Family.CLENSHAW_CURTIS, 12, UNIT, 60),
+    (Family.FEJER2, 9, JAC, 45),
+    (Family.GAUSS_LEGENDRE, 6, UNIT, 50),
+])
+def test_error_series_terms_are_the_alias_table_values(family, n, weight, truncation):
+    f = abspow(0.3, 2.82)
+    start = 2 * n if family is Family.GAUSS_LEGENDRE else n
+    terms = [rec.computed for rec in alias_errors(family, n, range(start, truncation + 1), weight)]
+    coeffs = cheb_expansion_coeffs(f, truncation + 1, max(4 * truncation + 4, 4096))
+    measured = reference_integral(weight, f) - apply(rule_for(family, n, weight), f)
+    series = math.fsum((coeffs[start:] * terms).tolist())
+    assert (_bits(error_series_check(family, n, f, weight, truncation))
+            == _bits(abs(measured - series)))
+
+
+def test_alias_errors_memory_stays_within_chunks():
+    tracemalloc.start()
+    try:
+        records = alias_errors(Family.CLENSHAW_CURTIS, 2000, range(6001), UNIT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 6001
+    # unchunked, the 6001 x 2000 products alone take 96 MB per temporary
+    assert peak < 32 * 2**20, peak
+
+
 # --- Gauss-Legendre error structure ---------------------------------------------
 
 
@@ -246,8 +324,6 @@ def test_series_polynomial_is_zero_on_both_sides():
 def test_series_converges_with_truncation():
     # abspow (not a bare lambda) so the reference oracle knows where the
     # kink sits and can split the integration region there
-    from chebquad.analysis import abspow, reference_integral
-
     f = abspow(0.3, 2.82)
     rule = rule_for(Family.CLENSHAW_CURTIS, 12, UNIT)
     measured = abs(reference_integral(UNIT, f) - apply(rule, f))

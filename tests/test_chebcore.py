@@ -345,6 +345,40 @@ def test_expansion_coeffs_validation():
         cheb_expansion_coeffs(np.exp, count=10, oversample=39)
 
 
+# --- non-finite input raises -------------------------------------------------
+
+
+def test_chebyshev_T_rejects_nan():
+    # returned nan
+    with pytest.raises(ValueError):
+        chebyshev_T(3, np.nan)
+    with pytest.raises(ValueError):
+        chebyshev_T(3, np.array([0.5, np.nan]))
+
+
+def test_interp_weights_reject_nan_moments():
+    # returned all-NaN weights
+    with pytest.raises(ValueError, match="finite"):
+        interp_weights(Family.FEJER1, [2.0, np.nan, 0.1])
+
+
+def test_interp_weights_reject_infinite_moments():
+    # returned +-inf weights
+    with pytest.raises(ValueError, match="finite"):
+        interp_weights(Family.CLENSHAW_CURTIS, [2.0, np.inf, 0.1])
+    # moments past the largest rule are not read
+    m = np.array([2.0, 0.0, np.nan])
+    assert np.array_equal(interp_rules(Family.FEJER2, [2], m)[1],
+                          interp_weights(Family.FEJER2, m[:2]))
+
+
+def test_expansion_coeffs_reject_nan_samples():
+    # returned NaN coefficients
+    f = lambda x: np.where(x == x.max(), np.nan, x)
+    with pytest.raises(ValueError, match="non-finite"):
+        cheb_expansion_coeffs(f, 3, 64)
+
+
 def test_cheb_eval_primed_convention():
     # the oracle evaluator under both sum conventions
     coeffs = np.array([2.0, 0.0, 0.0])
