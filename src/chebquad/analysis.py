@@ -316,10 +316,11 @@ def theoretical_rate(family: Family, weight: WeightSpec, s: float) -> tuple[floa
     singularity throttles the rate to n^(-s-2-2*min(alpha, beta)) resp.
     n^(-s-2-2*beta) ln(n).  Gauss-Legendre under the unit weight:
     n^(-2s) for 0 < s < 1, n^(-2) ln(n) at s = 1, n^(-s-1) for s > 1.
+    s outside (0, inf), NaN included, raises ValueError.
     """
     family = Family(family)
-    if s <= 0:
-        raise ValueError(f"exponent must be positive, got {s}")
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"exponent must be positive and finite, got {s}")
     if family is Family.GAUSS_LEGENDRE:
         if weight != UNIT_WEIGHT:
             raise ValueError("Gauss-Legendre rate theory covers the unit weight only")

@@ -33,7 +33,7 @@ step: the same real FFT of the same input, the same pre- and post-passes
 and the same twiddle factors.  So every weight is bit for bit what
 scipy.fft gives, without importing scipy.  DCT-II and DCT-III keep their
 twiddle tables in _Store, the package's one bounded least-recently-used
-store, which also keeps the rules module's built rules.
+store, which also keeps the rules module's Gauss-Legendre rules.
 """
 
 import collections

@@ -140,8 +140,10 @@ def moment_asymptotic(weight: WeightSpec, k: int) -> float:
     The log-Jacobi left-endpoint factor is evaluated as
     cos(pi b)(-ln 2k + Psi(2b+2)) - (pi/2) sin(pi b), an algebraically
     identical regularization of cos(pi b)[... - (pi/2) tan(pi b)] that
-    stays finite at half-odd-integer b.
+    stays finite at half-odd-integer b.  k must be an integer
+    (operator.index).
     """
+    k = operator.index(k)
     if k < 1:
         raise ValueError(f"asymptotic form needs k >= 1, got {k}")
     a, b = weight.alpha, weight.beta

@@ -10,14 +10,17 @@ tree's sources and compare:
     PYTHONPATH=<change>/src python tests/check_set.py > change.txt
     diff parent.txt change.txt
 
-The commands:
+The 366 commands:
 
-* every `quad` line of README.md, the `for fam` loop expanded;
-* one command per usage or numerical error message of cli.py;
+* every `quad` line of README.md (13), the `for fam` loop expanded;
+* one command per usage or numerical error message of cli.py (19);
 * `alias-table` on every family, n in {1, 2, 3, 5, 8, 17, 64, 200}, for
   four weights (Gauss-Legendre takes the unit weight only, and
-  Clenshaw-Curtis starts at n = 2);
-* every command of one seed-1 pass of the three perfbench workloads.
+  Clenshaw-Curtis starts at n = 2) (100);
+* `weight-sums` on the three Chebyshev families with n = 6000..6003 (two
+  rules per chunk) and n = 16383..16386 (rules at and above one chunk of
+  2^14 points), chunk boundaries the workloads do not reach (6);
+* every command of one seed-1 pass of the three perfbench workloads (228).
 
 An --out file is written to a temporary directory and read back; the
 printed argv keeps the name the command gave.  Not a pytest module: it
@@ -99,6 +102,11 @@ ALIAS_WEIGHTS = ["jacobi:0:0", "jacobi:-0.3:0.2", "logjacobi:-0.6:-0.5", "logjac
 ALIAS_NS = [1, 2, 3, 5, 8, 17, 64, 200]
 
 
+CHUNK_COMMANDS = [["weight-sums", "--family", family, "--weight", "logjacobi:-0.6:-0.5",
+                   "--n", ns]
+                  for family in ("f1", "f2", "cc") for ns in ("6000:6003", "16383:16386")]
+
+
 def alias_commands() -> list[list[str]]:
     commands = []
     for family in ("fejer1", "fejer2", "cc", "gauss"):
@@ -147,7 +155,8 @@ def run(argv: list[str], scratch: str) -> tuple[int, str]:
 
 
 def main() -> None:
-    commands = readme_commands() + ERROR_COMMANDS + alias_commands() + workload_commands()
+    commands = (readme_commands() + ERROR_COMMANDS + alias_commands() + CHUNK_COMMANDS
+                + workload_commands())
     with tempfile.TemporaryDirectory() as scratch:
         for argv in commands:
             code, digest = run(argv, scratch)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebquad import aliasing, rules
+from chebquad import aliasing
 from chebquad.aliasing import ReducedForm, alias_errors, alias_reduce, error_series_check
 from chebquad.analysis import abspow, reference_integral
 from chebquad.chebcore import CHEBYSHEV_FAMILIES, Family, cheb_expansion_coeffs, chebyshev_T
@@ -112,13 +112,12 @@ def test_alias_identities_small(family, weight, n=9):
 
 
 @pytest.mark.parametrize("family", CHEBYSHEV_FAMILIES)
-def test_alias_errors_build_their_rule_once(family):
+def test_alias_errors_build_their_rule_once(family, interp_rules_calls):
     weight = WeightSpec(WeightKind.LOGJACOBI, 0.775, -0.502)  # extended moment route
-    rules._weighted_rule_cached.cache_clear()
     table = alias_errors(family, 11, range(50), weight)
-    info = rules._weighted_rule_cached.cache_info()
-    assert (info.misses, info.hits) == (1, 0)
+    assert interp_rules_calls == [[11]]
     assert table == [alias_errors(family, 11, (m,), weight)[0] for m in range(50)]
+    assert interp_rules_calls == [[11]] * 51
     assert max(rec.residual for rec in table) <= 1e-11
 
 

@@ -167,8 +167,9 @@ def test_theoretical_rates():
 def test_theoretical_rate_validation():
     with pytest.raises(ValueError):
         theoretical_rate(Family.GAUSS_LEGENDRE, WeightSpec(WeightKind.JACOBI, 0.2, 0.0), 1.5)
-    with pytest.raises(ValueError):
-        theoretical_rate(Family.FEJER1, UNIT, 0.0)
+    for s in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            theoretical_rate(Family.FEJER1, UNIT, s)
 
 
 # --- slope fitting ----------------------------------------------------------------

@@ -252,6 +252,16 @@ def test_moment_asymptotic_ratio_at_k200():
     assert 0.9 < ratio < 1.1
 
 
+def test_moment_asymptotic_takes_integer_k_only():
+    w = WeightSpec(WeightKind.JACOBI, 0.2, -0.3)
+    assert moment_asymptotic(w, np.int64(200)) == moment_asymptotic(w, 200)
+    for k in (math.nan, math.inf, 200.0):
+        with pytest.raises(TypeError):
+            moment_asymptotic(w, k)
+    with pytest.raises(ValueError):
+        moment_asymptotic(w, 0)
+
+
 # --- WeightSpec and dispatch ----------------------------------------------------
 
 

@@ -225,32 +225,42 @@ def test_rules_and_moment_tables_are_frozen():
         moments_for(JAC, 8).values = np.zeros(9)
 
 
+@pytest.mark.parametrize("n, nodes, weights", [
+    (1, [-0.5, 0.5], [1.0, 1.0]),     # apply summed both points under n = 1
+    (3, [-0.5, 0.5], [1.0, 1.0]),     # apply failed inside _rounded_sums
+    (2, [-0.5, 0.5], [1.0]),
+    (2, [[-0.5, 0.5]], [[1.0, 1.0]]),
+])
+def test_rule_arrays_must_be_one_dimensional_of_length_n(n, nodes, weights):
+    with pytest.raises(ValueError):
+        rules.QuadratureRule(Family.FEJER1, n, UNIT, np.array(nodes), np.array(weights))
+
+
 def test_rule_for_dispatch():
     assert rule_for(Family.GAUSS_LEGENDRE, 5, UNIT).family is Family.GAUSS_LEGENDRE
     assert rule_for(Family.FEJER1, 5, JAC).family is Family.FEJER1
 
 
-def test_rules_for_checks_every_n_first_and_builds_chebyshev_rules_lazily():
+def test_rules_for_checks_every_n_first_and_builds_chebyshev_rules_lazily(interp_rules_calls):
     with pytest.raises(ValueError):
         rules_for(Family.FEJER1, [5, 0], JAC)
     with pytest.raises(ValueError):
         rules_for(Family.GAUSS_LEGENDRE, [5, 0], UNIT)
     with pytest.raises(ValueError):
         rules_for(Family.GAUSS_LEGENDRE, [5], JAC)
-    rules._weighted_rule_cached.cache_clear()
     # chunks of at most 2^14 points: [6000, 6001], then [6002, 5]
     sweep = rules_for(Family.CLENSHAW_CURTIS, [6000, 6001, 6002, 5], JAC)
-    assert rules._weighted_rule_cached.cache_info().misses == 0
+    assert interp_rules_calls == []
     first = next(sweep)
     assert first.n == 6000
-    assert rules._weighted_rule_cached.cache_info().misses == 2
+    assert interp_rules_calls == [[6000, 6001]]
     second = next(sweep)
     assert second.n == 6001 and second.nodes.base is first.nodes.base
-    assert rules._weighted_rule_cached.cache_info().misses == 2
+    assert interp_rules_calls == [[6000, 6001]]
     assert next(sweep).n == 6002
-    assert rules._weighted_rule_cached.cache_info().misses == 4
+    assert interp_rules_calls == [[6000, 6001], [6002, 5]]
     assert [r.n for r in sweep] == [5]
-    assert rules._weighted_rule_cached.cache_info().currsize <= rules._CHUNK_POINTS
+    assert interp_rules_calls == [[6000, 6001], [6002, 5]]
 
 
 def _assert_weighted_per_n_bits(rule):
@@ -270,7 +280,6 @@ SWEEP_WEIGHTS = [
 @pytest.mark.parametrize("family", CHEBYSHEV_FAMILIES)
 @pytest.mark.parametrize("weight", SWEEP_WEIGHTS, ids=["jacobi", "logjacobi", "extended"])
 def test_weighted_sweep_is_bit_identical_to_one_rule_builds(family, weight):
-    rules._weighted_rule_cached.cache_clear()
     ns = list(range(2, 1001))
     built = list(rules_for(family, ns, weight))
     assert [r.n for r in built] == ns
@@ -284,7 +293,6 @@ def test_weighted_sweep_is_bit_identical_to_one_rule_builds(family, weight):
        weight=st.sampled_from(SWEEP_WEIGHTS[:2]))
 @settings(max_examples=30, deadline=None)
 def test_weighted_sweep_takes_unsorted_and_repeated_ns(ns, family, weight):
-    rules._weighted_rule_cached.cache_clear()
     built = list(rules_for(family, ns, weight))
     assert [r.n for r in built] == ns
     for rule in built:
