@@ -28,7 +28,6 @@ from .analysis import (
     moment_decay_exponent,
     oracle_integral,
     powplus,
-    reference_integral,
     theoretical_rate,
     weight_sum_study,
 )
@@ -38,7 +37,6 @@ from .chebcore import (
     cheb_expansion_coeffs,
     chebyshev_T,
     interp_rules,
-    interp_weights,
     make_points,
 )
 from .errors import NumericalFailure
@@ -47,8 +45,6 @@ from .moments import (
     MomentTable,
     WeightKind,
     WeightSpec,
-    jacobi_moments,
-    log_jacobi_moments,
     min_bar,
     moment_asymptotic,
     moments_for,
@@ -57,7 +53,6 @@ from .rules import (
     QuadratureRule,
     apply,
     apply_each,
-    gauss_legendre,
     rule_for,
     rules_for,
     weight_abs_sum,
@@ -92,12 +87,8 @@ __all__ = [
     "envelope_slope",
     "error_series_check",
     "fit_slope",
-    "gauss_legendre",
     "gauss_open_problem_study",
     "interp_rules",
-    "interp_weights",
-    "jacobi_moments",
-    "log_jacobi_moments",
     "make_points",
     "min_bar",
     "moment_asymptotic",
@@ -105,7 +96,6 @@ __all__ = [
     "moments_for",
     "oracle_integral",
     "powplus",
-    "reference_integral",
     "rule_for",
     "rules_for",
     "theoretical_rate",

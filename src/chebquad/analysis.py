@@ -40,7 +40,6 @@ __all__ = [
     "abspow",
     "powplus",
     "custom",
-    "reference_integral",
     "oracle_integral",
     "theoretical_rate",
     "fit_slope",
@@ -80,7 +79,6 @@ class TestFunction:
     c: float = 0.0
     s: float = 1.0
     fn: Optional[Callable] = None
-    label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "kind", TestKind(self.kind))
@@ -111,7 +109,7 @@ class TestFunction:
             return f"|x-{c}|^{s}"
         if self.kind is TestKind.POW_PLUS:
             return f"(x-{c})_+^{s}"
-        return self.label or "custom"
+        return "custom"
 
 
 def _number_tag(x: float) -> str:
@@ -128,8 +126,8 @@ def powplus(xi: float, s: float) -> TestFunction:
     return TestFunction(TestKind.POW_PLUS, xi, s)
 
 
-def custom(fn: Callable, label: str = "") -> TestFunction:
-    return TestFunction(TestKind.CUSTOM, fn=fn, label=label)
+def custom(fn: Callable) -> TestFunction:
+    return TestFunction(TestKind.CUSTOM, fn=fn)
 
 
 def _as_test_function(f) -> TestFunction:
@@ -298,11 +296,6 @@ def oracle_integral(weight: WeightSpec, f) -> tuple[float, float]:
     return _oracle(weight, _as_test_function(f))
 
 
-def reference_integral(weight: WeightSpec, f) -> float:
-    """Reference value of integral(w * f); see oracle_integral for the error."""
-    return oracle_integral(weight, f)[0]
-
-
 # ---------------------------------------------------------------------------
 # Rate theory and slope fitting.
 # ---------------------------------------------------------------------------
@@ -416,6 +409,11 @@ def _sweep_ns(ns) -> tuple[int, ...]:
     return ns
 
 
+def _fit_window(ns: tuple[int, ...], fit_window: Optional[tuple[int, int]]) -> tuple[int, int]:
+    """fit_window, or the default window of every sweep when it is None."""
+    return (max(100, ns[0]), ns[-1]) if fit_window is None else fit_window
+
+
 @dataclass(frozen=True)
 class ConvergenceReport:
     family: Family
@@ -471,8 +469,7 @@ def convergence_study(
     errors = tuple(abs(reference - value)
                    for value in apply_each(rules_for(family, ns, weight), f))
 
-    if fit_window is None:
-        fit_window = (max(100, ns[0]), ns[-1])
+    fit_window = _fit_window(ns, fit_window)
     noise_floor = _NOISE_FLOOR_FACTOR * est
     fit_errors = np.asarray(errors, dtype=float)
     fit_errors = np.where(fit_errors > noise_floor, fit_errors, 0.0)
@@ -592,8 +589,7 @@ def gauss_open_problem_study(
           for rule in rules_for(Family.GAUSS_LEGENDRE, ns, UNIT_WEIGHT)]
     cc = [abs(reference - value)
           for value in apply_each(rules_for(Family.CLENSHAW_CURTIS, ns, weight), f)]
-    if fit_window is None:
-        fit_window = (max(100, ns[0]), ns[-1])
+    fit_window = _fit_window(ns, fit_window)
     slopes = {}
     for name, errs in (("gauss-jacobi", gj), ("gauss-legendre", gl),
                        ("clenshaw-curtis", cc)):

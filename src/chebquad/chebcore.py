@@ -21,8 +21,7 @@ gives the x_i and w_i of many grids from one moment vector: w is the
 transpose of the coefficient transform applied to m, one DCT/DST per
 grid, while one cos (and sin) runs over the angles of all the grids
 (and, for Fejer-1, the DCT-III's pre- and post-passes over all the
-grids, leaving one real FFT per grid).
-interp_weights is its one-grid case, and make_points shares its angle
+grids, leaving one real FFT per grid).  make_points shares its angle
 code without the transform.  Expansion coefficients a_j follow the
 primed convention (first term halved): f = a_0/2 + sum_{j>=1} a_j T_j.
 
@@ -51,7 +50,6 @@ __all__ = [
     "chebyshev_T",
     "make_points",
     "interp_rules",
-    "interp_weights",
     "cheb_expansion_coeffs",
 ]
 
@@ -348,8 +346,13 @@ def interp_rules(family: Family, ns, m) -> tuple[np.ndarray, np.ndarray, np.ndar
 
     Returns:
         (points, weights, bounds), the rules concatenated in the order of
-        ns, rule i at [bounds[i], bounds[i+1]), each equal to
-        make_points(family, n) and interp_weights(family, m[:n]) bit for bit.
+        ns, rule i at [bounds[i], bounds[i+1]), its points equal to
+        make_points(family, n) and its weights to those of
+        interp_rules(family, [n], m[:n]) bit for bit.  The weights w give
+        sum_i w_i f(x_i) = sum_j b_j(f) m_j for every f, b_j(f) being the
+        coefficients of the polynomial interpolating f at the points: a
+        DCT-III of m (Fejer-1), a DCT-I (Clenshaw-Curtis), or a DST-I of
+        the U-basis moments times sin(theta) (Fejer-2).
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 1:
@@ -376,23 +379,6 @@ def interp_rules(family: Family, ns, m) -> tuple[np.ndarray, np.ndarray, np.ndar
         w[bounds[:-1]] *= 0.5
         w[bounds[1:] - 1] *= 0.5
     return points, w, bounds
-
-
-def interp_weights(family: Family, m) -> np.ndarray:
-    """Weights of the interpolatory rule on make_points(family, len(m)).
-
-    Args:
-        family: FEJER1, FEJER2 or CLENSHAW_CURTIS.
-        m: modified moments m_0..m_{n-1}, m_j = integral of w T_j.
-
-    Returns:
-        w with sum_i w_i f(x_i) = sum_j b_j(f) m_j for every f, b_j(f)
-        being the coefficients of the polynomial interpolating f at the
-        points: a DCT-III of m (Fejer-1), a DCT-I (Clenshaw-Curtis), or a
-        DST-I of the U-basis moments times sin(theta) (Fejer-2).
-    """
-    m = np.asarray(m, dtype=float)
-    return interp_rules(family, m.shape[:1], m)[1]  # no n when m is not 1-D
 
 
 def cheb_expansion_coeffs(f, count: int, oversample: int) -> np.ndarray:

@@ -21,6 +21,7 @@ import numpy as np
 
 from .aliasing import alias_errors
 from .analysis import (
+    _SLOPE_TOLERANCE,
     _number_tag,
     abspow,
     convergence_study,
@@ -105,8 +106,10 @@ def _parse_nrange(text: str) -> tuple[int, ...]:
         elif len(parts) == 2:
             ns = tuple(range(int(parts[0]), int(parts[1]) + 1))
         elif len(parts) == 3 and parts[2].startswith("geom"):
-            grid = np.geomspace(int(parts[0]), int(parts[1]), int(parts[2][4:]))
-            ns = tuple(int(v) for v in np.unique(grid.round().astype(int)))
+            lo, hi = int(parts[0]), int(parts[1])
+            grid = np.geomspace(lo, hi, int(parts[2][4:]))
+            # LO > HI is empty, as in LO:HI; unique() would sort a falling grid
+            ns = tuple(int(v) for v in np.unique(grid.round().astype(int)) if lo <= hi)
     except ValueError:
         pass
     if ns is None:
@@ -175,8 +178,8 @@ def _build_parser() -> _Parser:
 
     p = add("convergence", "error sweep over n with a rate fit",
             family=True, weight=True, f=True, nrange=True, fit_flags=True)
-    p.add_argument("--tolerance", type=float, default=0.2,
-                   help="|fitted - theoretical| acceptance margin (default 0.2)")
+    p.add_argument("--tolerance", type=float, default=_SLOPE_TOLERANCE,
+                   help="|fitted - theoretical| acceptance margin (default %(default)s)")
     p.add_argument("--fit", choices=("ols", "envelope"), default="ols",
                    help="regress through all points, or through local error maxima")
 

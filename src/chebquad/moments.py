@@ -37,8 +37,6 @@ __all__ = [
     "WeightSpec",
     "UNIT_WEIGHT",
     "MomentTable",
-    "jacobi_moments",
-    "log_jacobi_moments",
     "moments_for",
     "moment_asymptotic",
     "min_bar",
@@ -65,8 +63,10 @@ class WeightSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", WeightKind(self.kind))
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "beta", float(self.beta))
+        # + 0.0 makes -0.0 into 0.0, which compares and hashes equal to it,
+        # so a moment cache entry never depends on which sign came first.
+        object.__setattr__(self, "alpha", float(self.alpha) + 0.0)
+        object.__setattr__(self, "beta", float(self.beta) + 0.0)
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise ValueError(
                 f"weight parameters must be finite, got alpha={self.alpha}, beta={self.beta}"
@@ -241,22 +241,6 @@ def _bucket(K: int) -> int:
     while b < K:
         b *= 2
     return b
-
-
-def jacobi_moments(alpha: float, beta: float, K: int) -> MomentTable:
-    """Moments M_0..M_K of T_k against the Jacobi weight (1-x)^alpha (1+x)^beta:
-    moments_for with a Jacobi WeightSpec."""
-    return moments_for(WeightSpec(WeightKind.JACOBI, alpha, beta), K)
-
-
-def log_jacobi_moments(alpha: float, beta: float, K: int) -> MomentTable:
-    """Moments G_0..G_K of T_k against ln((x+1)/2) (1-x)^alpha (1+x)^beta:
-    moments_for with a log-Jacobi WeightSpec.
-
-    The inhomogeneous recurrence consumes Jacobi moments computed in the
-    same run, so the two error budgets stay coupled.
-    """
-    return moments_for(WeightSpec(WeightKind.LOGJACOBI, alpha, beta), K)
 
 
 def moments_for(weight: WeightSpec, K: int) -> MomentTable:

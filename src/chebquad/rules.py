@@ -41,7 +41,6 @@ from .moments import UNIT_WEIGHT, WeightSpec, moments_for
 
 __all__ = [
     "QuadratureRule",
-    "gauss_legendre",
     "rule_for",
     "rules_for",
     "apply",
@@ -200,16 +199,6 @@ _gauss_legendre_cached = _Store(_GAUSS_STORE_POINTS, size=_points)
 # Nothing in the package looks up through this store; perfbench/tracing.py
 # reads its cache_info() by name, so the name stays until that read goes.
 _weighted_rule_cached = _Store(_CHUNK_POINTS, size=_points)
-
-
-def gauss_legendre(n: int) -> QuadratureRule:
-    """n-point Gauss-Legendre rule for the unit weight on [-1, 1].
-
-    Nodes are Legendre roots refined by Newton iteration (ascending,
-    symmetric about 0 by construction); weights are
-    2 / ((1 - x^2) P_n'(x)^2).  n must be an integer (operator.index).
-    """
-    return rule_for(Family.GAUSS_LEGENDRE, n, UNIT_WEIGHT)
 
 
 def _weighted_rules(family: Family, ns: list[int], weight: WeightSpec) -> Iterator[QuadratureRule]:

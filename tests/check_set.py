@@ -10,17 +10,19 @@ tree's sources and compare:
     PYTHONPATH=<change>/src python tests/check_set.py > change.txt
     diff parent.txt change.txt
 
-The 366 commands:
+The 368 commands:
 
 * every `quad` line of README.md (13), the `for fam` loop expanded;
-* one command per usage or numerical error message of cli.py (19);
+* one command per usage or numerical error message of cli.py (20);
 * `alias-table` on every family, n in {1, 2, 3, 5, 8, 17, 64, 200}, for
   four weights (Gauss-Legendre takes the unit weight only, and
   Clenshaw-Curtis starts at n = 2) (100);
 * `weight-sums` on the three Chebyshev families with n = 6000..6003 (two
   rules per chunk) and n = 16383..16386 (rules at and above one chunk of
   2^14 points), chunk boundaries the workloads do not reach (6);
-* every command of one seed-1 pass of the three perfbench workloads (228).
+* every command of one seed-1 pass of the three perfbench workloads (228);
+* last, `moments` on a weight with a -0 parameter, which must print the
+  table of +0 whatever ran before (1).
 
 An --out file is written to a temporary directory and read back; the
 printed argv keeps the name the command gave.  Not a pytest module: it
@@ -82,6 +84,7 @@ ERROR_COMMANDS = [
     ["integrate", "--family", "f1", "--n", "4", "--f", "abspow:x:2"],    # non-numeric function
     ["weight-sums", "--family", "f1", "--n", "4:9:lin3"],                # n-range grammar
     ["weight-sums", "--family", "f1", "--n", "9:4"],                     # empty n-range
+    ["weight-sums", "--family", "cc", "--n", "10:5:geom3"],              # empty n-range
     ["convergence", "--family", "f1", "--f", "abspow:0.5:0.6", "--n", "10:40",
      "--window", "10"],                                                  # window grammar
     ["alias-table", "--family", "f1", "--n", "4", "--m-max", "-1"],      # negative m-max
@@ -105,6 +108,9 @@ ALIAS_NS = [1, 2, 3, 5, 8, 17, 64, 200]
 CHUNK_COMMANDS = [["weight-sums", "--family", family, "--weight", "logjacobi:-0.6:-0.5",
                    "--n", ns]
                   for family in ("f1", "f2", "cc") for ns in ("6000:6003", "16383:16386")]
+
+
+SIGNED_ZERO_COMMANDS = [["moments", "--weight", "jacobi:0:-0", "--K", "2"]]
 
 
 def alias_commands() -> list[list[str]]:
@@ -156,7 +162,7 @@ def run(argv: list[str], scratch: str) -> tuple[int, str]:
 
 def main() -> None:
     commands = (readme_commands() + ERROR_COMMANDS + alias_commands() + CHUNK_COMMANDS
-                + workload_commands())
+                + workload_commands() + SIGNED_ZERO_COMMANDS)
     with tempfile.TemporaryDirectory() as scratch:
         for argv in commands:
             code, digest = run(argv, scratch)

@@ -30,18 +30,12 @@ from chebquad.analysis import (
     abspow,
     convergence_study,
     moment_decay_exponent,
-    reference_integral,
+    oracle_integral,
     weight_sum_study,
 )
 from chebquad.chebcore import CHEBYSHEV_FAMILIES, Family
-from chebquad.moments import (
-    WeightKind,
-    WeightSpec,
-    jacobi_moments,
-    log_jacobi_moments,
-    moments_for,
-)
-from chebquad.rules import apply, gauss_legendre, rule_for
+from chebquad.moments import WeightKind, WeightSpec, moments_for
+from chebquad.rules import apply, rule_for
 
 UNIT = WeightSpec(WeightKind.JACOBI, 0.0, 0.0)
 
@@ -74,7 +68,7 @@ def test_criterion_1_exactness(capsys):
     t0 = time.monotonic()
     worst_gauss = 0.0
     for n in (2, 5, 10, 40):
-        rule = gauss_legendre(n)
+        rule = rule_for(Family.GAUSS_LEGENDRE, n, UNIT)
         m = moments_for(UNIT, 2 * n - 1).values
         worst_gauss = max(worst_gauss, np.max(np.abs(m - _poly_integrals(rule, 2 * n - 1))))
 
@@ -105,12 +99,13 @@ def test_criterion_1_exactness(capsys):
 def test_criterion_2_moment_oracle_equivalence(capsys):
     t0 = time.monotonic()
     pairs = [(a, b) for a in GRID7 for b in GRID7]
-    extended = sum(1 for a, b in pairs if jacobi_moments(a, b, 40).method == "extended")
+    extended = sum(1 for a, b in pairs
+                   if moments_for(WeightSpec(WeightKind.JACOBI, a, b), 40).method == "extended")
     misses = []
     worst = 0.0
     for a, b in pairs:
-        mv = jacobi_moments(a, b, 40).values
-        gv = log_jacobi_moments(a, b, 40).values
+        mv = moments_for(WeightSpec(WeightKind.JACOBI, a, b), 40).values
+        gv = moments_for(WeightSpec(WeightKind.LOGJACOBI, a, b), 40).values
         for kind, vals, ref_fn in (
             ("M", mv, oracles.chebyshev_jacobi_moment),
             ("G", gv, oracles.chebyshev_log_jacobi_moment),
@@ -336,7 +331,8 @@ def test_criterion_9_error_series(capsys):
     t0 = time.monotonic()
     f = abspow(0.3, 2.82)
     residual = error_series_check(Family.GAUSS_LEGENDRE, 20, f, UNIT, 2000)
-    measured = abs(reference_integral(UNIT, f) - apply(gauss_legendre(20), f))
+    measured = abs(oracle_integral(UNIT, f)[0]
+                   - apply(rule_for(Family.GAUSS_LEGENDRE, 20, UNIT), f))
 
     elapsed = time.monotonic() - t0
     ok = residual <= 0.10 * measured and elapsed < 30.0

@@ -26,7 +26,6 @@ from chebquad.chebcore import (
     cheb_expansion_coeffs,
     chebyshev_T,
     interp_rules,
-    interp_weights,
     make_points,
 )
 
@@ -247,7 +246,7 @@ def test_interp_fft_agrees_with_direct(family, data):
     # The transpose identity: the fast weights against the direct O(n^2)
     # interpolation coefficients, sum_i w_i f_i = sum_j b_j(f) m_j.
     samples, moments = data
-    fast = math.fsum(interp_weights(family, moments) * samples)
+    fast = math.fsum(interp_rules(family, [len(moments)], moments)[1] * samples)
     slow = math.fsum(oracles.interp_coeffs_direct(family, samples) * moments)
     scale = (1.0 + np.max(np.abs(samples))) * (1.0 + np.max(np.abs(moments)))
     assert abs(fast - slow) < 1e-12 * scale
@@ -273,13 +272,13 @@ def test_cubic_interpolation_is_exact():
 
 def test_interp_weights_input_validation():
     with pytest.raises(ValueError):
-        interp_weights(Family.FEJER1, [])
+        interp_rules(Family.FEJER1, [0], [])
     with pytest.raises(ValueError):
-        interp_weights(Family.FEJER1, [[1.0, 2.0]])
+        interp_rules(Family.FEJER1, [1], [[1.0, 2.0]])
     with pytest.raises(ValueError):
-        interp_weights(Family.CLENSHAW_CURTIS, [1.0])
+        interp_rules(Family.CLENSHAW_CURTIS, [1], [1.0])
     with pytest.raises(ValueError):
-        interp_weights(Family.GAUSS_LEGENDRE, [1.0, 2.0])
+        interp_rules(Family.GAUSS_LEGENDRE, [2], [1.0, 2.0])
 
 
 def test_fejer2_moment_fold_is_prefix_consistent():
@@ -297,7 +296,7 @@ def test_interp_rules_equal_one_grid_builds(family):
     assert bounds.tolist() == [0, *np.cumsum(ns).tolist()]
     for n, a, b in zip(ns, bounds, bounds[1:]):
         assert np.array_equal(points[a:b], make_points(family, n)), n
-        assert np.array_equal(weights[a:b], interp_weights(family, m[:n])), n
+        assert np.array_equal(weights[a:b], interp_rules(family, [n], m[:n])[1]), n
         nodes, w = oracles.weighted_rule_per_n(family, n, m[:n])
         assert np.array_equal(points[a:b], nodes) and np.array_equal(weights[a:b], w), n
 
@@ -359,17 +358,17 @@ def test_chebyshev_T_rejects_nan():
 def test_interp_weights_reject_nan_moments():
     # returned all-NaN weights
     with pytest.raises(ValueError, match="finite"):
-        interp_weights(Family.FEJER1, [2.0, np.nan, 0.1])
+        interp_rules(Family.FEJER1, [3], [2.0, np.nan, 0.1])
 
 
 def test_interp_weights_reject_infinite_moments():
     # returned +-inf weights
     with pytest.raises(ValueError, match="finite"):
-        interp_weights(Family.CLENSHAW_CURTIS, [2.0, np.inf, 0.1])
+        interp_rules(Family.CLENSHAW_CURTIS, [3], [2.0, np.inf, 0.1])
     # moments past the largest rule are not read
     m = np.array([2.0, 0.0, np.nan])
     assert np.array_equal(interp_rules(Family.FEJER2, [2], m)[1],
-                          interp_weights(Family.FEJER2, m[:2]))
+                          interp_rules(Family.FEJER2, [2], m[:2])[1])
 
 
 def test_expansion_coeffs_reject_nan_samples():

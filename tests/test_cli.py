@@ -98,7 +98,8 @@ def test_usage_errors_exit_one(capsys):
         assert f"invalid _parse_function value: '{bad}'" in err
     for argv in (("gauss-open-problem", "--f", "abspow:0.4:1.45", "--n", "10:3"),  # IndexError
                  ("weight-sums", "--family", "cc", "--n", "5:3"),  # an empty table, exit 0
-                 ("weight-sums", "--family", "cc", "--n", "10:1:geom0")):
+                 ("weight-sums", "--family", "cc", "--n", "10:1:geom0"),
+                 ("weight-sums", "--family", "cc", "--n", "10:5:geom3")):  # rows for 5, 7, 10
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "" and err == f"quad: error: empty n-range {argv[-1]!r}\n"
     for tolerance in ("nan", "-1", "inf"):  # nan and -1 exited 3, inf passed every fit

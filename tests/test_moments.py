@@ -10,10 +10,9 @@ import oracles
 from chebquad import moments, special
 from chebquad.errors import NumericalFailure
 from chebquad.moments import (
+    UNIT_WEIGHT,
     WeightKind,
     WeightSpec,
-    jacobi_moments,
-    log_jacobi_moments,
     min_bar,
     moment_asymptotic,
     moments_for,
@@ -38,20 +37,20 @@ def within_one_ulp(values, references):
 
 def test_unit_weight_moments():
     # integral of T_k over [-1,1]: 2, 0, -2/3, 0, -2/15
-    vals = jacobi_moments(0.0, 0.0, 4).values
+    vals = moments_for(WeightSpec(WeightKind.JACOBI, 0.0, 0.0), 4).values
     assert np.allclose(vals, [2.0, 0.0, -2.0 / 3.0, 0.0, -2.0 / 15.0], atol=1e-14)
 
 
 def test_chebyshev_weight_moments_are_orthogonality():
     # against (1-x^2)^(-1/2) every T_k with k >= 1 integrates to zero
-    vals = jacobi_moments(-0.5, -0.5, 6).values
+    vals = moments_for(WeightSpec(WeightKind.JACOBI, -0.5, -0.5), 6).values
     assert vals[0] == pytest.approx(math.pi, rel=1e-14)
     assert np.max(np.abs(vals[1:])) < 1e-13 * math.pi
 
 
 def test_log_weight_first_moments():
     # G_0 = integral of ln((x+1)/2) = -2; G_1 = integral of x ln((x+1)/2) = 1
-    vals = log_jacobi_moments(0.0, 0.0, 1).values
+    vals = moments_for(WeightSpec(WeightKind.LOGJACOBI, 0.0, 0.0), 1).values
     assert vals[0] == pytest.approx(-2.0, rel=1e-13)
     assert vals[1] == pytest.approx(1.0, rel=1e-13)
 
@@ -85,7 +84,7 @@ K_SAMPLE = [0, 1, 2, 3, 5, 10, 17, 40]
 
 @pytest.mark.parametrize("alpha,beta", PAIR_SAMPLE)
 def test_jacobi_moments_match_closed_form(alpha, beta):
-    vals = jacobi_moments(alpha, beta, 40).values
+    vals = moments_for(WeightSpec(WeightKind.JACOBI, alpha, beta), 40).values
     for k in K_SAMPLE:
         ref = oracles.chebyshev_jacobi_moment(alpha, beta, k)
         assert close_to_reference(vals[k], ref), (alpha, beta, k, vals[k], ref)
@@ -93,7 +92,7 @@ def test_jacobi_moments_match_closed_form(alpha, beta):
 
 @pytest.mark.parametrize("alpha,beta", PAIR_SAMPLE)
 def test_log_jacobi_moments_match_closed_form(alpha, beta):
-    vals = log_jacobi_moments(alpha, beta, 40).values
+    vals = moments_for(WeightSpec(WeightKind.LOGJACOBI, alpha, beta), 40).values
     for k in K_SAMPLE:
         ref = oracles.chebyshev_log_jacobi_moment(alpha, beta, k)
         assert close_to_reference(vals[k], ref), (alpha, beta, k, vals[k], ref)
@@ -102,11 +101,11 @@ def test_log_jacobi_moments_match_closed_form(alpha, beta):
 def test_moments_match_adaptive_quadrature():
     # a second, entirely different reference: direct tanh-sinh quadrature
     # of the integrand (safe here because k stays small)
-    vals = jacobi_moments(0.2, -0.3, 10).values
+    vals = moments_for(WeightSpec(WeightKind.JACOBI, 0.2, -0.3), 10).values
     for k in range(11):
         ref = oracles.quad_jacobi_moment(0.2, -0.3, k)
         assert vals[k] == pytest.approx(ref, rel=1e-10)
-    gvals = log_jacobi_moments(-0.3, 0.2, 6).values
+    gvals = moments_for(WeightSpec(WeightKind.LOGJACOBI, -0.3, 0.2), 6).values
     for k in range(7):
         ref = oracles.quad_jacobi_moment(-0.3, 0.2, k, log_factor=True)
         assert gvals[k] == pytest.approx(ref, rel=1e-10)
@@ -121,7 +120,7 @@ def test_jacobi_recurrence_residual(alpha, beta):
     # every returned table satisfies the three-term recurrence row by row,
     # whichever solver produced it
     K = 48
-    v = jacobi_moments(alpha, beta, K).values
+    v = moments_for(WeightSpec(WeightKind.JACOBI, alpha, beta), K).values
     mb = min_bar(alpha, beta)
     for k in range(1, K):
         t1 = (alpha + beta + k + 2.0) * v[k + 1]
@@ -136,8 +135,8 @@ def test_log_recurrence_residual(alpha, beta):
     # the log-weighted table obeys the same recurrence driven by the
     # plain moments: rhs_k = 2 M_k - M_{k-1} - M_{k+1}
     K = 48
-    g = log_jacobi_moments(alpha, beta, K).values
-    m = jacobi_moments(alpha, beta, K + 1).values
+    g = moments_for(WeightSpec(WeightKind.LOGJACOBI, alpha, beta), K).values
+    m = moments_for(WeightSpec(WeightKind.JACOBI, alpha, beta), K + 1).values
     for k in range(1, K):
         rhs = 2.0 * m[k] - m[k - 1] - m[k + 1]
         t1 = (alpha + beta + k + 2.0) * g[k + 1]
@@ -152,15 +151,15 @@ def test_log_recurrence_residual(alpha, beta):
 def test_parameter_swap_symmetry(alpha, beta, k):
     # x -> -x maps the weight (alpha, beta) to (beta, alpha) and T_k to
     # (-1)^k T_k
-    direct = jacobi_moments(alpha, beta, k).values[k]
-    swapped = jacobi_moments(beta, alpha, k).values[k]
+    direct = moments_for(WeightSpec(WeightKind.JACOBI, alpha, beta), k).values[k]
+    swapped = moments_for(WeightSpec(WeightKind.JACOBI, beta, alpha), k).values[k]
     scale = max(abs(direct), abs(swapped), 1.0)
     assert abs(direct - (-1.0) ** k * swapped) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("alpha", [-0.6, -0.5, 0.0, 0.2, 0.5, 1.0])
 def test_symmetric_weight_kills_odd_moments(alpha):
-    vals = jacobi_moments(alpha, alpha, 41).values
+    vals = moments_for(WeightSpec(WeightKind.JACOBI, alpha, alpha), 41).values
     assert np.max(np.abs(vals[1::2])) <= 1e-13 * abs(vals[0])
 
 
@@ -168,17 +167,21 @@ def test_symmetric_weight_kills_odd_moments(alpha):
 
 
 def test_unstable_pairs_use_banded_solver():
-    assert jacobi_moments(0.5, -0.5, 40).method == "extended"
-    assert jacobi_moments(-0.5, 0.5, 40).method == "extended"
-    assert jacobi_moments(0.0, -0.45, 40).method == "extended"  # near-half buffer
-    assert log_jacobi_moments(0.0, -0.5, 40).method == "extended"
-    assert jacobi_moments(0.2, -0.3, 40).method == "forward"
-    assert jacobi_moments(-0.5, -0.5, 40).method == "forward"  # equal: stable
+    for kind, alpha, beta, method in (
+        ("jacobi", 0.5, -0.5, "extended"),
+        ("jacobi", -0.5, 0.5, "extended"),
+        ("jacobi", 0.0, -0.45, "extended"),  # near-half buffer
+        ("logjacobi", 0.0, -0.5, "extended"),
+        ("jacobi", 0.2, -0.3, "forward"),
+        ("jacobi", -0.5, -0.5, "forward"),  # equal: stable
+    ):
+        table = moments_for(WeightSpec(WeightKind(kind), alpha, beta), 40)
+        assert table.method == method, (kind, alpha, beta)
 
 
 def test_banded_solver_reports_small_residual():
-    assert jacobi_moments(0.5, -0.5, 40).est_rel_error < 1e-12
-    assert log_jacobi_moments(0.0, -0.5, 40).est_rel_error < 1e-10
+    assert moments_for(WeightSpec(WeightKind.JACOBI, 0.5, -0.5), 40).est_rel_error < 1e-12
+    assert moments_for(WeightSpec(WeightKind.LOGJACOBI, 0.0, -0.5), 40).est_rel_error < 1e-10
 
 
 def test_forward_drift_in_the_unstable_class():
@@ -190,7 +193,7 @@ def test_forward_drift_in_the_unstable_class():
     # M_K = (3 sqrt(2) / 2) / ((K^2 - 1/4)(K^2 - 9/4)).
     alpha, beta = 1.0, -0.5
     K = 4096
-    good = jacobi_moments(alpha, beta, K).values
+    good = moments_for(WeightSpec(WeightKind.JACOBI, alpha, beta), K).values
     naive = list(good[:2])
     for k in range(1, K):
         nxt = (
@@ -232,11 +235,11 @@ def test_extended_route_is_correctly_rounded(kind, half_odd, offset, gap, mirror
 
 def test_tables_are_consistent_across_lengths():
     # cache bucketing must never change returned values
-    short = jacobi_moments(0.5, -0.5, 40).values
-    long = jacobi_moments(0.5, -0.5, 100).values
+    short = moments_for(WeightSpec(WeightKind.JACOBI, 0.5, -0.5), 40).values
+    long = moments_for(WeightSpec(WeightKind.JACOBI, 0.5, -0.5), 100).values
     assert np.array_equal(short, long[:41])
-    short = log_jacobi_moments(0.2, -0.3, 40).values
-    long = log_jacobi_moments(0.2, -0.3, 300).values
+    short = moments_for(WeightSpec(WeightKind.LOGJACOBI, 0.2, -0.3), 40).values
+    long = moments_for(WeightSpec(WeightKind.LOGJACOBI, 0.2, -0.3), 300).values
     assert np.array_equal(short, long[:41])
 
 
@@ -245,10 +248,10 @@ def test_tables_are_consistent_across_lengths():
 
 def test_moment_asymptotic_ratio_at_k200():
     w = WeightSpec(WeightKind.JACOBI, 0.2, -0.3)
-    ratio = jacobi_moments(0.2, -0.3, 200).values[200] / moment_asymptotic(w, 200)
+    ratio = moments_for(w, 200).values[200] / moment_asymptotic(w, 200)
     assert 0.9 < ratio < 1.1
     wl = WeightSpec(WeightKind.LOGJACOBI, 0.0, 0.0)
-    ratio = log_jacobi_moments(0.0, 0.0, 200).values[200] / moment_asymptotic(wl, 200)
+    ratio = moments_for(wl, 200).values[200] / moment_asymptotic(wl, 200)
     assert 0.9 < ratio < 1.1
 
 
@@ -289,19 +292,31 @@ def test_weight_spec_rejects_out_of_range_parameters():
 
 
 def test_moments_for_dispatches_on_kind():
-    wj = WeightSpec(WeightKind.JACOBI, 0.2, -0.3)
-    assert np.array_equal(moments_for(wj, 20).values, jacobi_moments(0.2, -0.3, 20).values)
-    wl = WeightSpec(WeightKind.LOGJACOBI, 0.2, -0.3)
-    assert np.array_equal(moments_for(wl, 20).values, log_jacobi_moments(0.2, -0.3, 20).values)
+    # the same parameters give M_k for a Jacobi weight and G_k for a log-Jacobi one
+    for kind, ref in (("jacobi", oracles.chebyshev_jacobi_moment),
+                      ("logjacobi", oracles.chebyshev_log_jacobi_moment)):
+        vals = moments_for(WeightSpec(WeightKind(kind), 0.2, -0.3), 20).values
+        for k in range(21):
+            assert close_to_reference(vals[k], ref(0.2, -0.3, k)), (kind, k)
+
+
+def test_negative_zero_parameter_leaves_no_trace_in_the_cache():
+    # -0.0 == 0.0 with one hash, so a table cached for jacobi:0:-0 used to
+    # hand the unit weight its M_1 = -0.0
+    moments._jacobi_values.cache_clear()
+    negative = WeightSpec(WeightKind.JACOBI, 0.0, -0.0)
+    assert math.copysign(1.0, negative.beta) == 1.0
+    moments_for(negative, 2)
+    assert np.float64(moments_for(UNIT_WEIGHT, 2).values[1]).view(np.int64) == 0
 
 
 def test_moment_table_validation():
     with pytest.raises(ValueError):
-        jacobi_moments(0.0, 0.0, -1)
+        moments_for(WeightSpec(WeightKind.JACOBI, 0.0, 0.0), -1)
     with pytest.raises(ValueError):
-        jacobi_moments(-1.5, 0.0, 4)
+        moments_for(WeightSpec(WeightKind.JACOBI, -1.5, 0.0), 4)
     with pytest.raises(TypeError):  # 2.7 used to give the K = 2 table
-        jacobi_moments(0.0, 0.0, 2.7)
+        moments_for(WeightSpec(WeightKind.JACOBI, 0.0, 0.0), 2.7)
     with pytest.raises(TypeError):
         moments_for(WeightSpec(WeightKind.LOGJACOBI, 0.0, 0.0), 4.0)
     assert moments_for(WeightSpec(WeightKind.JACOBI, 0.0, 0.0), np.int64(3)).K == 3
@@ -309,9 +324,9 @@ def test_moment_table_validation():
     before = moments._jacobi_values.cache_info()
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
-            jacobi_moments(bad, 0.0, 4)
+            moments_for(WeightSpec(WeightKind.JACOBI, bad, 0.0), 4)
         with pytest.raises(ValueError, match="finite"):
-            log_jacobi_moments(0.0, bad, 4)
+            moments_for(WeightSpec(WeightKind.LOGJACOBI, 0.0, bad), 4)
     assert moments._jacobi_values.cache_info() == before
     # a seed or moment beyond float64 used to escape as OverflowError or,
     # as a product of two finite factors (1022, -0.99), as an inf/NaN table;
@@ -322,7 +337,8 @@ def test_moment_table_validation():
             moments_for(WeightSpec(WeightKind(kind), alpha, beta), K)
     # M_0 = 3.1188914686080845e+27 is finite; only the old asymptotic
     # boundary, Gamma(202), overflowed
-    assert jacobi_moments(100.0, 0.5, 4).values[0] == 3.1188914686080845e27
+    table = moments_for(WeightSpec(WeightKind.JACOBI, 100.0, 0.5), 4)
+    assert table.values[0] == 3.1188914686080845e27
     for kind, ref in (("jacobi", oracles.chebyshev_jacobi_moment),
                       ("logjacobi", oracles.chebyshev_log_jacobi_moment)):
         table = moments_for(WeightSpec(WeightKind(kind), 100.0, 0.5), 4)

@@ -16,7 +16,6 @@ from chebquad.moments import WeightKind, WeightSpec, moments_for
 from chebquad.rules import (
     apply,
     apply_each,
-    gauss_legendre,
     rule_for,
     rules_for,
     weight_abs_sum,
@@ -31,14 +30,14 @@ LOG = WeightSpec(WeightKind.LOGJACOBI, -0.3, 0.2)
 
 
 def test_gauss_two_point_rule():
-    rule = gauss_legendre(2)
+    rule = rule_for(Family.GAUSS_LEGENDRE, 2, UNIT)
     assert rule.nodes == pytest.approx([-1 / math.sqrt(3), 1 / math.sqrt(3)], abs=1e-15)
     assert rule.weights == pytest.approx([1.0, 1.0], abs=2e-15)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 40, 121])
 def test_gauss_basic_structure(n):
-    rule = gauss_legendre(n)
+    rule = rule_for(Family.GAUSS_LEGENDRE, n, UNIT)
     assert len(rule.nodes) == n and len(rule.weights) == n
     assert np.all(np.diff(rule.nodes) > 0.0)  # ascending
     assert np.all(rule.weights > 0.0)
@@ -52,14 +51,14 @@ def test_gauss_basic_structure(n):
 
 def test_gauss_matches_scipy():
     x, w = scipy.special.roots_legendre(40)
-    rule = gauss_legendre(40)
+    rule = rule_for(Family.GAUSS_LEGENDRE, 40, UNIT)
     assert np.max(np.abs(rule.nodes - x)) < 1e-14
     assert np.max(np.abs(rule.weights - w)) < 1e-14
 
 
 def test_gauss_exactness_to_degree_2n_minus_1():
     n = 7
-    rule = gauss_legendre(n)
+    rule = rule_for(Family.GAUSS_LEGENDRE, n, UNIT)
     exact = moments_for(UNIT, 2 * n - 1).values
     for j in range(2 * n):
         err = exact[j] - apply(rule, lambda x: chebyshev_T(j, x))
@@ -68,14 +67,14 @@ def test_gauss_exactness_to_degree_2n_minus_1():
 
 def test_gauss_odd_degree_errors_vanish():
     # symmetry wipes out every odd Chebyshev error, exact or not
-    rule = gauss_legendre(9)
+    rule = rule_for(Family.GAUSS_LEGENDRE, 9, UNIT)
     for j in range(1, 25, 2):
         assert abs(apply(rule, lambda x: chebyshev_T(j, x))) <= 1e-13
 
 
 def test_gauss_input_validation():
     with pytest.raises(ValueError):
-        gauss_legendre(0)
+        rule_for(Family.GAUSS_LEGENDRE, 0, UNIT)
     with pytest.raises(ValueError):
         rule_for(Family.GAUSS_LEGENDRE, 5, JAC)
 
@@ -83,16 +82,17 @@ def test_gauss_input_validation():
 def test_rule_sizes_must_be_integers():
     # operator.index semantics: 2.7 used to give a 2-point rule
     with pytest.raises(TypeError):
-        gauss_legendre(2.7)
+        rule_for(Family.GAUSS_LEGENDRE, 2.7, UNIT)
     with pytest.raises(TypeError):
-        gauss_legendre(4.0)
+        rule_for(Family.GAUSS_LEGENDRE, 4.0, UNIT)
     with pytest.raises(TypeError):
         rule_for(Family.FEJER1, 8.5, JAC)
     with pytest.raises(TypeError):
         rules_for(Family.GAUSS_LEGENDRE, [10, 2.7], UNIT)
     with pytest.raises(TypeError):
         rules_for(Family.CLENSHAW_CURTIS, [10, 11.0], JAC)
-    assert gauss_legendre(np.int64(7)) is gauss_legendre(7)
+    rule = rule_for(Family.GAUSS_LEGENDRE, 7, UNIT)
+    assert rule_for(Family.GAUSS_LEGENDRE, np.int64(7), UNIT) is rule
     rule = rule_for(Family.FEJER1, np.int32(8), JAC)
     assert rule.n == 8 and type(rule.n) is int
     assert [r.n for r in rules_for(Family.FEJER2, np.arange(5, 8), JAC)] == [5, 6, 7]
@@ -123,7 +123,7 @@ def test_gauss_batch_takes_unsorted_and_repeated_ns():
         _assert_per_n_bits(rule)
     info = rules._gauss_legendre_cached.cache_info()
     assert (info.misses, info.hits, info.currsize) == (6, 2, 97 + 3 + 500 + 1 + 64 + 2)
-    assert gauss_legendre(64) is built[5]
+    assert rule_for(Family.GAUSS_LEGENDRE, 64, UNIT) is built[5]
     assert rules._gauss_legendre_cached.cache_info().hits == 3
 
 
@@ -145,7 +145,7 @@ def test_gauss_newton_stall_names_the_rule(monkeypatch):
     with pytest.raises(NumericalFailure, match=r"stalled at n=40$"):
         list(rules_for(Family.GAUSS_LEGENDRE, [1, 40], UNIT))
     with pytest.raises(NumericalFailure, match=r"stalled at n=40$"):
-        gauss_legendre(40)
+        rule_for(Family.GAUSS_LEGENDRE, 40, UNIT)
     assert rules._gauss_legendre_cached.cache_info().currsize == 0
 
 
@@ -305,7 +305,7 @@ def test_weighted_sweep_takes_unsorted_and_repeated_ns(ns, family, weight):
 
 
 def test_apply_accepts_scalar_only_integrands():
-    rule = gauss_legendre(11)
+    rule = rule_for(Family.GAUSS_LEGENDRE, 11, UNIT)
     vectorized = apply(rule, np.exp)
     scalar_only = apply(rule, lambda x: math.exp(x))  # math.exp rejects arrays
     assert scalar_only == pytest.approx(vectorized, abs=1e-15)
@@ -313,7 +313,7 @@ def test_apply_accepts_scalar_only_integrands():
 
 
 def test_apply_rejects_non_finite_values():
-    rule = gauss_legendre(4)
+    rule = rule_for(Family.GAUSS_LEGENDRE, 4, UNIT)
     with pytest.raises(ValueError):
         apply(rule, lambda x: np.full_like(x, np.nan))
 
@@ -452,7 +452,8 @@ def test_apply_each_rejects_non_finite_values_in_a_later_chunk():
 def test_positive_weight_rules_have_exact_abs_sums():
     # Gauss and unit-weight Clenshaw-Curtis weights are positive, so the
     # absolute sum is the plain sum
-    assert weight_abs_sum(gauss_legendre(30)) == pytest.approx(2.0, abs=1e-13)
+    rule = rule_for(Family.GAUSS_LEGENDRE, 30, UNIT)
+    assert weight_abs_sum(rule) == pytest.approx(2.0, abs=1e-13)
     rule = rule_for(Family.CLENSHAW_CURTIS, 100, UNIT)
     assert np.all(rule.weights > 0.0)
     assert weight_abs_sum(rule) == pytest.approx(2.0, abs=1e-10)
