@@ -32,7 +32,8 @@ step: the same real FFT of the same input, the same pre- and post-passes
 and the same twiddle factors.  So every weight is bit for bit what
 scipy.fft gives, without importing scipy.  DCT-II and DCT-III keep their
 twiddle tables in _Store, the package's one bounded least-recently-used
-store, which also keeps the rules module's Gauss-Legendre rules.
+store, which also keeps the rules module's Gauss-Legendre rules and
+weighted sweep chunks.
 """
 
 import collections

@@ -20,8 +20,9 @@ Gauss-Legendre half-nodes), which bounds their working set.  rules_for
 builds a weighted sweep lazily, one chunk per step, from one moment
 table; apply_each calls the integrand once per chunk.  Built
 Gauss-Legendre rules are kept in a chebcore._Store bounded in total
-points, which holds a whole n = 10..1000 sweep; only rules_for reads or
-fills it.
+points, which holds a whole n = 10..1000 sweep, and the weights of built
+weighted chunks in another, which holds two n = 100..1000 sweeps; only
+rules_for reads or fills them.
 
 Every sum of a rule is correctly rounded, equal to math.fsum bit for bit;
 _rounded_sums gives the sums of all the rules of a chunk at once and
@@ -35,7 +36,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .chebcore import Family, _checked_ns, _Store, interp_rules
+from .chebcore import Family, _checked_ns, _grids, _Store, interp_rules
 from .errors import NumericalFailure
 from .moments import UNIT_WEIGHT, WeightSpec, moments_for
 
@@ -196,15 +197,30 @@ def _gauss_legendre_rules(ns: list[int]) -> dict[int, QuadratureRule]:
 
 # Gauss-Legendre rules by n.
 _gauss_legendre_cached = _Store(_GAUSS_STORE_POINTS, size=_points)
-# Nothing in the package looks up through this store; perfbench/tracing.py
-# reads its cache_info() by name, so the name stays until that read goes.
-_weighted_rule_cached = _Store(_CHUNK_POINTS, size=_points)
+# The weights of built weighted sweep chunks, read-only, by (family, weight,
+# max(ns), chunk): these fix every input of the chunk's interp_rules call,
+# the moment table's bucket included.  Two n = 100..1000 sweeps hold
+# 991 100 weights, 8 MB.
+_WEIGHTED_STORE_POINTS = 1 << 20
+_weighted_rule_cached = _Store(_WEIGHTED_STORE_POINTS)
 
 
 def _weighted_rules(family: Family, ns: list[int], weight: WeightSpec) -> Iterator[QuadratureRule]:
-    moments = moments_for(weight, max(ns, default=1) - 1).values
+    """The rules of a sweep, one chunk at a time.  A chunk's weights come
+    from the store or from interp_rules; its nodes and bounds from that
+    call, or on a hit from the grid code it runs (chebcore._grids)."""
+    top = max(ns, default=1)
+    moments = moments_for(weight, top - 1).values
     for chunk in _chunks(ns, lambda n: n, _CHUNK_POINTS):
-        nodes, weights, bounds = interp_rules(family, chunk, moments)
+        built = []
+
+        def build(keys):
+            built.extend(interp_rules(family, chunk, moments))
+            built[1].setflags(write=False)
+            return {keys[0]: built[1]}
+
+        [weights] = _weighted_rule_cached.get([(family, weight, top, tuple(chunk))], build)
+        nodes, bounds = (built[0], built[2]) if built else _grids(family, chunk)[3:5]
         bounds = bounds.tolist()
         for n, a, b in zip(chunk, bounds, bounds[1:]):
             yield QuadratureRule(family, n, weight, nodes[a:b], weights[a:b])

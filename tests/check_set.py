@@ -10,7 +10,7 @@ tree's sources and compare:
     PYTHONPATH=<change>/src python tests/check_set.py > change.txt
     diff parent.txt change.txt
 
-The 368 commands:
+The 370 commands:
 
 * every `quad` line of README.md (13), the `for fam` loop expanded;
 * one command per usage or numerical error message of cli.py (20);
@@ -20,6 +20,9 @@ The 368 commands:
 * `weight-sums` on the three Chebyshev families with n = 6000..6003 (two
   rules per chunk) and n = 16383..16386 (rules at and above one chunk of
   2^14 points), chunk boundaries the workloads do not reach (6);
+* `weight-sums` on Fejer-1 at an extended-route Jacobi weight with
+  n = 100..500, then n = 100..1000: the sweeps share their first chunks
+  but take moment tables of different buckets (2);
 * every command of one seed-1 pass of the three perfbench workloads (228);
 * last, `moments` on a weight with a -0 parameter, which must print the
   table of +0 whatever ran before (1).
@@ -110,6 +113,11 @@ CHUNK_COMMANDS = [["weight-sums", "--family", family, "--weight", "logjacobi:-0.
                   for family in ("f1", "f2", "cc") for ns in ("6000:6003", "16383:16386")]
 
 
+BUCKET_COMMANDS = [["weight-sums", "--family", "f1", "--weight", "jacobi:2.062:1.478",
+                    "--n", ns]
+                   for ns in ("100:500", "100:1000")]
+
+
 SIGNED_ZERO_COMMANDS = [["moments", "--weight", "jacobi:0:-0", "--K", "2"]]
 
 
@@ -162,7 +170,7 @@ def run(argv: list[str], scratch: str) -> tuple[int, str]:
 
 def main() -> None:
     commands = (readme_commands() + ERROR_COMMANDS + alias_commands() + CHUNK_COMMANDS
-                + workload_commands() + SIGNED_ZERO_COMMANDS)
+                + BUCKET_COMMANDS + workload_commands() + SIGNED_ZERO_COMMANDS)
     with tempfile.TemporaryDirectory() as scratch:
         for argv in commands:
             code, digest = run(argv, scratch)

@@ -301,6 +301,57 @@ def test_weighted_sweep_takes_unsorted_and_repeated_ns(ns, family, weight):
     assert apply_each(built, f) == [math.fsum(r.weights * f(r.nodes)) for r in built]
 
 
+def _sweep_chunks(ns) -> int:
+    return len(list(rules._chunks(ns, lambda n: n, rules._CHUNK_POINTS)))
+
+
+@pytest.mark.parametrize("family", CHEBYSHEV_FAMILIES)
+def test_weighted_store_serves_a_repeated_sweep_without_a_build(family, interp_rules_calls):
+    ns = list(range(100, 1001))
+    first = list(rules_for(family, ns, LOG))
+    assert len(interp_rules_calls) == _sweep_chunks(ns)
+    again = list(rules_for(family, ns, LOG))
+    assert len(interp_rules_calls) == _sweep_chunks(ns)
+    assert [r.n for r in again] == ns
+    for built, stored in zip(first, again):
+        assert np.array_equal(built.nodes, stored.nodes), built.n
+        assert np.array_equal(built.weights, stored.weights), built.n
+        with pytest.raises(ValueError):
+            stored.weights[0] = 1.0
+        with pytest.raises(ValueError):
+            stored.nodes[0] = 1.0
+
+
+@pytest.mark.parametrize("family", CHEBYSHEV_FAMILIES)
+@pytest.mark.parametrize("his", [(500, 1000), (1000, 500)], ids=["up", "down"])
+def test_weighted_store_keys_chunks_by_the_sweeps_largest_n(family, his, interp_rules_calls):
+    # the two sweeps share their first chunks, but not their moment tables
+    weight = SWEEP_WEIGHTS[2]  # extended moment route
+    for hi in his:
+        ns = list(range(100, hi + 1))
+        before = len(interp_rules_calls)
+        built = list(rules_for(family, ns, weight))
+        assert len(interp_rules_calls) - before == _sweep_chunks(ns)
+        assert [r.n for r in built] == ns
+        for rule in built:
+            _assert_weighted_per_n_bits(rule)
+
+
+def test_weighted_store_is_bounded_in_floats(interp_rules_calls):
+    store = rules._weighted_rule_cached
+    ns = list(range(100, 1001))
+    sweeps = [(family, weight) for family in CHEBYSHEV_FAMILIES for weight in (JAC, LOG)]
+    for family, weight in sweeps:
+        list(rules_for(family, ns, weight))
+        assert store.cache_info().currsize <= store.max_size == rules._WEIGHTED_STORE_POINTS
+    info = store.cache_info()
+    assert (info.hits, info.misses) == (0, len(sweeps) * _sweep_chunks(ns))
+    family, weight = sweeps[0]
+    next(rules_for(family, ns, weight))  # the oldest chunk was dropped: built again
+    assert store.cache_info().misses == info.misses + 1
+    assert len(interp_rules_calls) == info.misses + 1
+
+
 # --- applying rules -----------------------------------------------------------
 
 
