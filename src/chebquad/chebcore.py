@@ -19,11 +19,10 @@ with b_j the coefficients (plain sum, q = sum b_j T_j) of the polynomial
 interpolating f on the grid and m_j the modified moments.  interp_rules
 gives the x_i and w_i of many grids from one moment vector: w is the
 transpose of the coefficient transform applied to m, one DCT/DST per
-grid, while one cos (and sin) runs over the angles of all the grids
-(and, for Fejer-1, the DCT-III's pre- and post-passes over all the
-grids, leaving one real FFT per grid).  make_points shares its angle
-code without the transform.  Expansion coefficients a_j follow the
-primed convention (first term halved): f = a_0/2 + sum_{j>=1} a_j T_j.
+grid, while one cos (and sin) runs over the angles of all the grids.
+make_points shares its angle code without the transform.  Expansion
+coefficients a_j follow the primed convention (first term halved):
+f = a_0/2 + sum_{j>=1} a_j T_j.
 
 The four real transforms (DCT-I, DST-I, DCT-II, DCT-III, unnormalized as
 in scipy.fft) run on numpy.fft.rfft/irfft and follow the algorithms of
@@ -255,48 +254,6 @@ def _dst1(c: np.ndarray) -> np.ndarray:
     return -np.fft.rfft(t).imag[1:n + 1]
 
 
-def _dct3_grids(m: np.ndarray, ns: list, bounds: np.ndarray) -> np.ndarray:
-    """scipy.fft.dct(m[:n], type=3) for every n in ns, concatenated at
-    bounds (bounds[0] = 0, bounds[i+1] - bounds[i] = ns[i]): pocketfft's
-    type-3 pass.
-
-    For k = 1..(n+1)/2-1 and kc = n-k, (c_k, c_kc) become
-    (tw_{k-1} t2 + tw_{kc-1} t1, tw_{k-1} t1 - tw_{kc-1} t2) with
-    t1 = c_k + c_kc and t2 = c_k - c_kc, an even n's middle term is scaled
-    by 2 tw_{n/2-1}, then the real FFT, read in halfcomplex order
-    [R_0, R_1, I_1, R_2, ...], turns each pair (R_j, I_j) into
-    (R_j - I_j, I_j + R_j).  Both passes run once over all the grids,
-    through gathered indices, with each grid's twiddle table placed at
-    its own bounds (it has n entries); only the real FFT runs per grid.
-    """
-    if not ns:
-        return np.empty(0)
-    x = np.concatenate([m[:n] for n in ns])
-    tw = np.concatenate(_twiddle.get(ns, _twiddles))
-    sizes = np.asarray(ns)
-    pairs = (sizes - 1) // 2  # k = 1..pairs in each grid
-    k = np.arange(pairs.sum()) - np.repeat(np.cumsum(pairs) - pairs, pairs) + 1
-    first = np.repeat(bounds[:-1], pairs)
-    i, ic = first + k, first + (np.repeat(sizes, pairs) - k)  # c_k, c_kc
-    a, b = x[i], x[ic]
-    ta, tb = tw[i - 1], tw[ic - 1]
-    t1, t2 = a + b, a - b
-    x[i] = ta * t2 + tb * t1
-    x[ic] = ta * t1 - tb * t2
-    middle = (bounds[:-1] + sizes // 2)[sizes % 2 == 0]
-    x[middle] *= 2.0 * tw[middle - 1]
-    w = np.empty_like(x)
-    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        v = np.fft.rfft(x[lo:hi]).view(float)  # [R_0, 0, R_1, I_1, ...]
-        w[lo:hi] = v[1:hi - lo + 1]
-        w[lo] = v[0]
-    re, im = first + 2 * k - 1, first + 2 * k  # R_k, I_k in w
-    a, b = w[re], w[im]
-    w[re] = a - b
-    w[im] = b + a
-    return w
-
-
 def _dct2(c: np.ndarray) -> np.ndarray:
     """scipy.fft.dct(c, type=2): pocketfft's type-2 pass, the type-3 one reversed.
 
@@ -330,9 +287,37 @@ def _dct2(c: np.ndarray) -> np.ndarray:
     return y
 
 
-# The one-grid transform of each family's moments (the Fejer-2 ones
-# folded first); Fejer-1 runs _dct3_grids over all its grids at once.
-_TRANSFORMS = {Family.CLENSHAW_CURTIS: _dct1, Family.FEJER2: _dst1}
+def _dct3(c: np.ndarray) -> np.ndarray:
+    """scipy.fft.dct(c, type=3): pocketfft's type-3 pass, the type-2 one reversed.
+
+    For k = 1..(n+1)/2-1 and kc = n-k, (c_k, c_kc) become
+    (tw_{k-1} t2 + tw_{kc-1} t1, tw_{k-1} t1 - tw_{kc-1} t2) with
+    t1 = c_k + c_kc and t2 = c_k - c_kc, and an even n's middle term is
+    scaled by 2 tw_{n/2-1}; then the real FFT, read in halfcomplex order
+    [R_0, R_1, I_1, R_2, ...], turns each pair (R_k, I_k) into
+    (R_k - I_k, I_k + R_k).  c is left unchanged.
+    """
+    n = len(c)
+    tw = _twiddle.get([n], _twiddles)[0]
+    h = (n + 1) // 2
+    x = c.copy()
+    a, b = x[1:h], x[n - 1:n - h:-1]
+    ta, tb = tw[:h - 1], tw[n - 2:n - h - 1:-1]
+    t1, t2 = a + b, a - b
+    a[...] = ta * t2 + tb * t1
+    b[...] = ta * t1 - tb * t2
+    if n % 2 == 0:
+        x[h] *= 2.0 * tw[h - 1]
+    v = np.fft.rfft(x).view(float)  # [R_0, 0, R_1, I_1, ...]
+    y = v[1:n + 1]
+    y[0] = v[0]
+    re, im = y[1:n - 1:2], y[2:n:2]
+    re[...], im[...] = re - im, im + re
+    return y
+
+
+# The one-grid transform of each family's moments (the Fejer-2 ones folded first)
+_TRANSFORMS = {Family.FEJER1: _dct3, Family.FEJER2: _dst1, Family.CLENSHAW_CURTIS: _dct1}
 
 
 def interp_rules(family: Family, ns, m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -366,13 +351,10 @@ def interp_rules(family: Family, ns, m) -> tuple[np.ndarray, np.ndarray, np.ndar
         raise ValueError("moments must be finite")
     if family is Family.FEJER2:
         m = _fejer2_moment_fold(m[:top])
-    if family is Family.FEJER1:
-        w = _dct3_grids(m, ns, bounds)
-    else:
-        transform = _TRANSFORMS[family]
-        w = np.empty(bounds[-1])
-        for n, a, b in zip(ns, bounds.tolist(), bounds[1:].tolist()):
-            w[a:b] = transform(m[:n])
+    transform = _TRANSFORMS[family]
+    w = np.empty(bounds[-1])
+    for n, a, b in zip(ns, bounds.tolist(), bounds[1:].tolist()):
+        w[a:b] = transform(m[:n])
     if family is Family.FEJER2:
         w *= np.sin(theta)
     w /= half

@@ -192,17 +192,32 @@ def _forward(alpha, beta, K: int, v0, v1, m=None) -> list:
     return v
 
 
-def _table(alpha, beta, K: int, log: bool, beta_fn, psi) -> np.ndarray:
-    """M_0..M_K (G_0..G_K when log) run in the arithmetic of the arguments, as float64."""
-    m = _forward(alpha, beta, K, *_seeds(alpha, beta, False, beta_fn, psi))
-    v = _forward(alpha, beta, K, *_seeds(alpha, beta, True, beta_fn, psi), m) if log else m
+_mp_seeds = functools.partial(_seeds, beta_fn=mp.beta, psi=mp.digamma)
+
+
+def _float_seeds(alpha: float, beta: float, log: bool) -> tuple:
+    """_seeds in float64, or, where 2^(alpha+beta+1) overflows float64 (the
+    seeds themselves may not), in mpf at 34 digits, each rounded once."""
+    try:
+        return _seeds(alpha, beta, log, beta_fn, digamma)
+    except OverflowError:
+        with mp.workdps(34):
+            return tuple(map(float, _mp_seeds(mp.mpf(alpha), mp.mpf(beta), log)))
+
+
+def _table(alpha, beta, K: int, log: bool, seeds) -> np.ndarray:
+    """M_0..M_K (G_0..G_K when log) run in the arithmetic of the arguments
+    from seeds(alpha, beta, log), as float64."""
+    m = _forward(alpha, beta, K, *seeds(alpha, beta, False))
+    v = _forward(alpha, beta, K, *seeds(alpha, beta, True), m) if log else m
     return np.array(v, dtype=float)
 
 
 def _values(alpha: float, beta: float, K: int, log: bool) -> tuple[np.ndarray, str, float]:
     """M_0..M_K (G_0..G_K when log), the route that made them and its error bound.
 
-    Off the unstable set the recurrence runs in float64.  On it, the wanted
+    Off the unstable set the recurrence runs in float64 (from seeds formed
+    in mpf where 2^(alpha+beta+1) overflows float64).  On it, the wanted
     solution decays faster than the other one by up to a factor
     (K+2)^(2|alpha-beta|), so the same recurrence runs in mpmath with 20
     digits beyond log10 of that factor and the table is rounded once to
@@ -212,14 +227,15 @@ def _values(alpha: float, beta: float, K: int, log: bool) -> tuple[np.ndarray, s
         growth = 2.0 * abs(alpha - beta) * math.log10(K + 2)
         digits = 20 + math.ceil(growth)
         with mp.workdps(digits):
-            v = _table(mp.mpf(alpha), mp.mpf(beta), K, log, mp.beta, mp.digamma)
+            v = _table(mp.mpf(alpha), mp.mpf(beta), K, log, _mp_seeds)
         # float64 rounding plus K steps of working-precision error grown by 10^growth
         method, est = "extended", 2.0**-53 + 10.0 ** (math.log10(K) + growth - digits)
     else:
-        v = _table(alpha, beta, K, log, beta_fn, digamma)
+        v = _table(alpha, beta, K, log, _float_seeds)
         method, est = "forward", 2e-16
-    # |v_k| <= |v_0|: the weight has one sign and |T_k| <= 1
-    if not math.isfinite(v[0]):
+    # every entry: |M_k| <= |M_0| holds for the exact moments, but the
+    # float64 recurrence's products can overflow first
+    if not np.all(np.isfinite(v)):
         raise OverflowError("moment table beyond float64")
     v.setflags(write=False)
     return v, method, est

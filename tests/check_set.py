@@ -10,7 +10,7 @@ tree's sources and compare:
     PYTHONPATH=<change>/src python tests/check_set.py > change.txt
     diff parent.txt change.txt
 
-The 370 commands:
+The 373 commands:
 
 * every `quad` line of README.md (13), the `for fam` loop expanded;
 * one command per usage or numerical error message of cli.py (20);
@@ -24,6 +24,9 @@ The 370 commands:
   n = 100..500, then n = 100..1000: the sweeps share their first chunks
   but take moment tables of different buckets (2);
 * every command of one seed-1 pass of the three perfbench workloads (228);
+* `moments` on three weights near float64's limit: one whose
+  2^(alpha+beta+1) overflows although its table does not, and two whose
+  recurrence overflows at k = 2 (3);
 * last, `moments` on a weight with a -0 parameter, which must print the
   table of +0 whatever ran before (1).
 
@@ -118,6 +121,12 @@ BUCKET_COMMANDS = [["weight-sums", "--family", "f1", "--weight", "jacobi:2.062:1
                    for ns in ("100:500", "100:1000")]
 
 
+# Moment tables near float64's limit: seeds whose 2^(alpha+beta+1) overflows
+# (M_0 = 0.0723), and finite seeds whose recurrence overflows at k = 2.
+LIMIT_COMMANDS = [["moments", "--weight", weight, "--K", "3"]
+                  for weight in ("jacobi:600:600", "jacobi:1022.9:0", "logjacobi:1021:0")]
+
+
 SIGNED_ZERO_COMMANDS = [["moments", "--weight", "jacobi:0:-0", "--K", "2"]]
 
 
@@ -170,7 +179,8 @@ def run(argv: list[str], scratch: str) -> tuple[int, str]:
 
 def main() -> None:
     commands = (readme_commands() + ERROR_COMMANDS + alias_commands() + CHUNK_COMMANDS
-                + BUCKET_COMMANDS + workload_commands() + SIGNED_ZERO_COMMANDS)
+                + BUCKET_COMMANDS + workload_commands() + LIMIT_COMMANDS
+                + SIGNED_ZERO_COMMANDS)
     with tempfile.TemporaryDirectory() as scratch:
         for argv in commands:
             code, digest = run(argv, scratch)

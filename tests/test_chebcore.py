@@ -17,7 +17,7 @@ from chebquad.chebcore import (
     Family,
     _dct1,
     _dct2,
-    _dct3_grids,
+    _dct3,
     _dst1,
     _fejer2_moment_fold,
     _build_twiddle,
@@ -97,13 +97,9 @@ def test_make_points_rejects_bad_requests():
 _TRANSFORM_SIZES = [*range(1, 2049), 4096, 4097, 10007]
 
 
-def _dct3_one_grid(c):
-    return _dct3_grids(c, [len(c)], np.array([0, len(c)]))
-
-
 @pytest.mark.parametrize("ours, kind, reference", [
     (_dct1, 1, scipy.fft.dct), (_dst1, 1, scipy.fft.dst),
-    (_dct2, 2, scipy.fft.dct), (_dct3_one_grid, 3, scipy.fft.dct),
+    (_dct2, 2, scipy.fft.dct), (_dct3, 3, scipy.fft.dct),
 ], ids=["dct1", "dst1", "dct2", "dct3"])
 def test_transforms_equal_scipy_fft_bit_for_bit(ours, kind, reference):
     rng = np.random.default_rng(2013)
@@ -120,21 +116,6 @@ def test_transforms_equal_scipy_fft_bit_for_bit(ours, kind, reference):
             before = c.copy()
             assert np.array_equal(_bits(ours(c)), _bits(reference(c, type=kind))), n
             assert np.array_equal(_bits(c), _bits(before)), n  # the input is left alone
-
-
-def test_dct3_grids_equal_scipy_fft_on_every_grid_bit_for_bit():
-    # many grids at once, of both parities, repeats and n = 1 among them
-    rng = np.random.default_rng(2014)
-    ns = [*range(1, 300), 1, 2, 4096, 4097]
-    bounds = np.cumsum([0, *ns])
-    for m in (rng.standard_normal(4097),
-              rng.standard_normal(4097) * np.exp(rng.uniform(-30.0, 30.0, 4097)),
-              -np.zeros(4097)):
-        before = m.copy()
-        w = _dct3_grids(m, ns, bounds)
-        for n, a, b in zip(ns, bounds, bounds[1:]):
-            assert np.array_equal(_bits(w[a:b]), _bits(scipy.fft.dct(m[:n], type=3))), n
-        assert np.array_equal(_bits(m), _bits(before))
 
 
 def test_twiddle_store_is_bounded_in_floats():
@@ -290,15 +271,24 @@ def test_fejer2_moment_fold_is_prefix_consistent():
 
 @pytest.mark.parametrize("family", CHEBYSHEV_FAMILIES)
 def test_interp_rules_equal_one_grid_builds(family):
-    m = np.random.default_rng(5).standard_normal(80)
-    ns = [7, 2, 80, 33, 7, 64, 3]
-    points, weights, bounds = interp_rules(family, ns, m)
-    assert bounds.tolist() == [0, *np.cumsum(ns).tolist()]
-    for n, a, b in zip(ns, bounds, bounds[1:]):
-        assert np.array_equal(points[a:b], make_points(family, n)), n
-        assert np.array_equal(weights[a:b], interp_rules(family, [n], m[:n])[1]), n
-        nodes, w = oracles.weighted_rule_per_n(family, n, m[:n])
-        assert np.array_equal(points[a:b], nodes) and np.array_equal(weights[a:b], w), n
+    # many grids at once, of both parities, repeats and the smallest n among them
+    rng = np.random.default_rng(2014)
+    least = 2 if family is Family.CLENSHAW_CURTIS else 1
+    ns = [*range(least, 300), least, 2, 4096, 4097]
+    for m in (rng.standard_normal(4097),
+              rng.standard_normal(4097) * np.exp(rng.uniform(-30.0, 30.0, 4097)),  # 60 e-folds
+              -np.zeros(4097)):
+        before = m.copy()
+        points, weights, bounds = interp_rules(family, ns, m)
+        assert bounds.tolist() == [0, *np.cumsum(ns).tolist()]
+        for n, a, b in zip(ns, bounds, bounds[1:]):
+            assert np.array_equal(_bits(points[a:b]), _bits(make_points(family, n))), n
+            one = interp_rules(family, [n], m[:n])[1]
+            assert np.array_equal(_bits(weights[a:b]), _bits(one)), n
+            nodes, w = oracles.weighted_rule_per_n(family, n, m[:n])
+            assert np.array_equal(_bits(points[a:b]), _bits(nodes)), n
+            assert np.array_equal(_bits(weights[a:b]), _bits(w)), n
+        assert np.array_equal(_bits(m), _bits(before))  # the moments are left alone
 
 
 def test_interp_rules_input_validation():

@@ -98,6 +98,22 @@ def test_log_jacobi_moments_match_closed_form(alpha, beta):
         assert close_to_reference(vals[k], ref), (alpha, beta, k, vals[k], ref)
 
 
+def test_tables_near_the_float64_limit():
+    # 2^1201 overflows float64 but M_0 = 0.0723 does not: the seeds come
+    # from mpf, rounded once, and the float64 recurrence runs from them
+    for kind, ref in (("jacobi", oracles.chebyshev_jacobi_moment),
+                      ("logjacobi", oracles.chebyshev_log_jacobi_moment)):
+        table = moments_for(WeightSpec(WeightKind(kind), 600.0, 600.0), 3)
+        assert within_one_ulp(table.values, [ref(600.0, 600.0, k) for k in range(4)]), kind
+    # finite seeds whose recurrence overflows at k = 2 (M_0 = 1.6e305 and
+    # G_0 = -3.3e305 used to give inf and NaN tables; 1030's mpf M_0 is
+    # 2.2e307), and 1100's M_0, which rounds to inf
+    for kind, alpha in (("jacobi", 1022.9), ("logjacobi", 1021.0), ("jacobi", 1030.0),
+                        ("jacobi", 1100.0)):
+        with pytest.raises(NumericalFailure, match="overflow float64"):
+            moments_for(WeightSpec(WeightKind(kind), alpha, 0.0), 3)
+
+
 def test_moments_match_adaptive_quadrature():
     # a second, entirely different reference: direct tanh-sinh quadrature
     # of the integrand (safe here because k stays small)
@@ -331,8 +347,8 @@ def test_moment_table_validation():
     # a seed or moment beyond float64 used to escape as OverflowError or,
     # as a product of two finite factors (1022, -0.99), as an inf/NaN table;
     # on the extended route an mpf beyond float64 would round silently to inf
-    for kind, alpha, beta, K in (("jacobi", 1030.0, 0.0, 3), ("jacobi", 600.0, 600.0, 3),
-                                 ("jacobi", 1022.0, -0.99, 3), ("jacobi", 1100.0, 0.5, 4)):
+    for kind, alpha, beta, K in (("jacobi", 1030.0, 0.0, 3), ("jacobi", 1022.0, -0.99, 3),
+                                 ("jacobi", 1100.0, 0.5, 4)):
         with pytest.raises(NumericalFailure, match=f"alpha={alpha}, beta={beta}"):
             moments_for(WeightSpec(WeightKind(kind), alpha, beta), K)
     # M_0 = 3.1188914686080845e+27 is finite; only the old asymptotic
