@@ -13,7 +13,9 @@ Gauss-Legendre (w == 1) uses Newton iteration on the recurrence-evaluated
 Legendre polynomial with asymptotic initial guesses, on the packed
 half-nodes of many n at once; every node goes through the operations of a
 one-rule build in the same order, so the rules do not depend on which
-others were built alongside.
+others were built alongside.  A round re-runs the recurrence only at the
+nodes whose bits changed since their last evaluation; the others keep
+their values, which depend on nothing but a node's x and n.
 
 Sweeps run in chunks of at most _CHUNK_POINTS points (half as many
 Gauss-Legendre half-nodes), which bounds their working set.  rules_for
@@ -104,14 +106,16 @@ def _initial_half_nodes(n: int) -> np.ndarray:
 
 
 def _legendre_pairs(x: np.ndarray, degree: np.ndarray) -> np.ndarray:
-    """(P_n(x), P_{n-1}(x)) at packed nodes of degree n, which must not increase.
+    """(P_n(x), P_{n-1}(x)) at packed nodes of degree n, which must not
+    increase; there may be none.
 
     Step j of the three-term recurrence updates only the prefix of nodes
     with n >= j, so each node takes exactly the steps of a one-rule
     recurrence, with the same operations in the same order: five in-place
     ufunc calls on rotating buffers, cut to the prefix as degrees finish.
     """
-    ends = np.searchsorted(-degree, -np.arange(int(degree[0]) + 1), side="right").tolist()
+    ends = np.searchsorted(-degree, -np.arange(int(degree.max(initial=0)) + 1),
+                           side="right").tolist()
     pairs = np.empty((2, len(x)))
     p_prev, p, t, u = np.ones_like(x), x.copy(), np.empty_like(x), np.empty_like(x)
     for j, m in enumerate(ends[2:], start=2):
@@ -139,7 +143,8 @@ def _gauss_rule(n: int, half_nodes: np.ndarray, half_weights: np.ndarray) -> Qua
 def _gauss_legendre_chunk(ns: list[int]) -> list[QuadratureRule]:
     """The rules for distinct, descending ns, built in one set of packed arrays.
 
-    Each round evaluates P_n and P_n' once at every node in the arrays.
+    Each round calls _legendre_pairs once, on the nodes whose bits changed
+    since their last evaluation (perhaps none); the others keep their pairs.
     A rule takes Newton steps until max|dx| <= 1e-14 over its own nodes,
     then one polishing step, after which an odd n gets its exact zero
     node; the next round gives its weights 2 / ((1 - x^2) P_n'(x)^2) and
@@ -151,8 +156,13 @@ def _gauss_legendre_chunk(ns: list[int]) -> list[QuadratureRule]:
     live = list(range(len(ns)))   # rules in the arrays, in packing order
     phase = [0] * len(ns)         # Newton steps taken, or _POLISH / _WEIGHTS
     rules = [None] * len(ns)
+    at = np.full_like(x, np.nan)  # the x each node's pairs were last evaluated at
+    pairs = np.empty((2, len(x)))
     while live:
-        p, p_prev = _legendre_pairs(x, degree)
+        moved = x.view(np.int64) != at.view(np.int64)  # by bits: -0.0 to 0.0 moves
+        pairs[:, moved] = _legendre_pairs(x[moved], degree[moved])
+        at[moved] = x[moved]
+        p, p_prev = pairs
         dp = degree * (x * p - p_prev) / (x * x - 1.0)
         dx = p / dp
         sizes = [halves[r] for r in live]
@@ -180,7 +190,7 @@ def _gauss_legendre_chunk(ns: list[int]) -> list[QuadratureRule]:
         left = [rules[r] is None for r in live]
         if not all(left):
             keep = np.repeat(left, sizes)
-            x, degree = x[keep], degree[keep]
+            x, degree, at, pairs = x[keep], degree[keep], at[keep], pairs[:, keep]
             live = [r for r, stays in zip(live, left) if stays]
     return rules
 

@@ -2,13 +2,19 @@
 
 Runs a fixed list of `quad` commands in-process through chebquad.cli.main
 and prints one line per command: its argv, its exit code and a sha256 of
-its stdout, stderr and --out bytes.  Two trees that give the same lines
-give the same bytes on every command of the set.  Run it against each
-tree's sources and compare:
+its stdout, stderr and --out bytes, after a first line that names the
+versions of Python, numpy, scipy and mpmath.  Two trees that give the same
+lines give the same bytes on every command of the set.  Run it against
+each tree's sources and compare:
 
     PYTHONPATH=<parent>/src python tests/check_set.py > parent.txt
     PYTHONPATH=<change>/src python tests/check_set.py > change.txt
     diff parent.txt change.txt
+
+tests/check_set.golden holds the lines of the current tree, and
+tests/test_check_set.py compares a fresh run with it.  A change that
+moves bytes rewrites it (PYTHONPATH=src python tests/check_set.py >
+tests/check_set.golden); its diff lists the moved commands.
 
 The 373 commands:
 
@@ -31,8 +37,8 @@ The 373 commands:
   table of +0 whatever ran before (1).
 
 An --out file is written to a temporary directory and read back; the
-printed argv keeps the name the command gave.  Not a pytest module: it
-takes a few minutes, and it compares two trees rather than checking one.
+printed argv keeps the name the command gave.  One run takes about 6 s on
+two cores.
 """
 
 from __future__ import annotations
@@ -42,10 +48,12 @@ import hashlib
 import io
 import os
 import pathlib
+import platform
 import re
 import shlex
 import sys
 import tempfile
+from importlib.metadata import version
 
 from chebquad import cli
 
@@ -181,6 +189,8 @@ def main() -> None:
     commands = (readme_commands() + ERROR_COMMANDS + alias_commands() + CHUNK_COMMANDS
                 + BUCKET_COMMANDS + workload_commands() + LIMIT_COMMANDS
                 + SIGNED_ZERO_COMMANDS)
+    print("  ".join([f"# python {platform.python_version()}",
+                     *(f"{name} {version(name)}" for name in ("numpy", "scipy", "mpmath"))]))
     with tempfile.TemporaryDirectory() as scratch:
         for argv in commands:
             code, digest = run(argv, scratch)

@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -147,6 +147,61 @@ def test_gauss_newton_stall_names_the_rule(monkeypatch):
     with pytest.raises(NumericalFailure, match=r"stalled at n=40$"):
         rule_for(Family.GAUSS_LEGENDRE, 40, UNIT)
     assert rules._gauss_legendre_cached.cache_info().currsize == 0
+
+
+@st.composite
+def _gauss_batches(draw) -> list[int]:
+    """Unsorted ns in 1..1200, repeats among them, n = 1 and n = 2 drawn often."""
+    ns = draw(st.lists(st.sampled_from([1, 2]) | st.integers(1, 1200), min_size=1, max_size=8))
+    return draw(st.permutations(ns + draw(st.lists(st.sampled_from(ns), max_size=3))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_gauss_batches())
+@example([1])
+@example([2, 1, 2])
+@example([1200, 3, 1, 1199, 2, 1200, 641])
+def test_gauss_mixed_batches_are_bit_identical_to_one_rule_builds(ns):
+    # the rules of one chunk take different numbers of Newton steps, so
+    # their nodes stop moving in different rounds
+    rules._gauss_legendre_cached.cache_clear()
+    built = list(rules_for(Family.GAUSS_LEGENDRE, ns, UNIT))
+    assert [r.n for r in built] == ns
+    for rule in built:
+        _assert_per_n_bits(rule)
+
+
+def test_gauss_rounds_rerun_the_recurrence_only_at_moved_nodes(monkeypatch):
+    """An n = 10..500 build from an empty store runs at most 55 % of the
+    recurrence steps (the degrees of the nodes given to _legendre_pairs) of
+    evaluating every node in the arrays every round.  A chunk calls
+    _legendre_pairs once per round, so a rule's rounds are the calls its
+    chunk made up to the round that gives its weights."""
+    rules._gauss_legendre_cached.cache_clear()
+    chunk, pairs, gauss_rule = (rules._gauss_legendre_chunk, rules._legendre_pairs,
+                                rules._gauss_rule)
+    calls, steps, rounds = [0], [0], {}
+
+    def counted_chunk(ns):
+        calls[0] = 0
+        return chunk(ns)
+
+    def counted_pairs(x, degree):
+        calls[0] += 1
+        steps[0] += int(degree.sum())
+        return pairs(x, degree)
+
+    def counted_rule(n, half_nodes, half_weights):
+        rounds[n] = calls[0]
+        return gauss_rule(n, half_nodes, half_weights)
+
+    monkeypatch.setattr(rules, "_gauss_legendre_chunk", counted_chunk)
+    monkeypatch.setattr(rules, "_legendre_pairs", counted_pairs)
+    monkeypatch.setattr(rules, "_gauss_rule", counted_rule)
+    ns = range(10, 501)
+    list(rules_for(Family.GAUSS_LEGENDRE, ns, UNIT))
+    every_node = sum(rounds[n] * ((n + 1) // 2) * n for n in ns)
+    assert steps[0] <= 0.55 * every_node, (steps[0], every_node)
 
 
 # --- weighted Chebyshev-point rules -----------------------------------------
