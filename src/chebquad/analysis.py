@@ -32,7 +32,7 @@ import numpy as np
 from .chebcore import Family
 from .errors import NumericalFailure
 from .moments import UNIT_WEIGHT, WeightKind, WeightSpec, min_bar, moments_for
-from .rules import apply_each, rules_for, weight_abs_sum
+from .rules import _chunk_sums, _rounded_sums, _rule_chunks, rules_for
 
 __all__ = [
     "TestKind",
@@ -467,7 +467,7 @@ def convergence_study(
     theoretical_slope, log_factor = theoretical_rate(family, weight, f.s)
     reference, est = oracle_integral(weight, f)
     errors = tuple(abs(reference - value)
-                   for value in apply_each(rules_for(family, ns, weight), f))
+                   for value in _chunk_sums(_rule_chunks(family, ns, weight), f))
 
     fit_window = _fit_window(ns, fit_window)
     noise_floor = _NOISE_FLOOR_FACTOR * est
@@ -511,11 +511,9 @@ def weight_sum_study(
     interpolatory weight sums must converge to it.
     """
     target = abs(moments_for(weight, 0).values[0])
-    rows = []
-    for rule in rules_for(family, ns, weight):
-        total = weight_abs_sum(rule)
-        rows.append((rule.n, total, total - target))
-    return rows
+    return [(n, total, total - target)
+            for chunk, _, weights, bounds in _rule_chunks(family, ns, weight)
+            for n, total in zip(chunk, _rounded_sums(np.abs(weights), bounds))]
 
 
 def moment_decay_exponent(
@@ -588,7 +586,7 @@ def gauss_open_problem_study(
     gl = [abs(reference - math.fsum((rule.weights * weight(rule.nodes) * f(rule.nodes)).tolist()))
           for rule in rules_for(Family.GAUSS_LEGENDRE, ns, UNIT_WEIGHT)]
     cc = [abs(reference - value)
-          for value in apply_each(rules_for(Family.CLENSHAW_CURTIS, ns, weight), f)]
+          for value in _chunk_sums(_rule_chunks(Family.CLENSHAW_CURTIS, ns, weight), f)]
     fit_window = _fit_window(ns, fit_window)
     slopes = {}
     for name, errs in (("gauss-jacobi", gj), ("gauss-legendre", gl),

@@ -19,8 +19,9 @@ with b_j the coefficients (plain sum, q = sum b_j T_j) of the polynomial
 interpolating f on the grid and m_j the modified moments.  interp_rules
 gives the x_i and w_i of many grids from one moment vector: w is the
 transpose of the coefficient transform applied to m, one DCT/DST per
-grid, while one cos (and sin) runs over the angles of all the grids.
-make_points shares its angle code without the transform.  Expansion
+grid, divided by the grid's K in the same loop.  The points, one cos over
+the angles of a chunk of grids, are kept read-only in _grid_store by
+(family, ns), for make_points and every later sweep.  Expansion
 coefficients a_j follow the primed convention (first term halved):
 f = a_0/2 + sum_{j>=1} a_j T_j.
 
@@ -31,8 +32,8 @@ step: the same real FFT of the same input, the same pre- and post-passes
 and the same twiddle factors.  So every weight is bit for bit what
 scipy.fft gives, without importing scipy.  DCT-II and DCT-III keep their
 twiddle tables in _Store, the package's one bounded least-recently-used
-store, which also keeps the rules module's Gauss-Legendre rules and
-weighted sweep chunks.
+store, which also keeps the grids and the rules module's Gauss-Legendre
+rules and weighted sweep chunks.
 """
 
 import collections
@@ -102,30 +103,43 @@ def _checked_ns(family: Family, ns) -> tuple[Family, list[int], list[int]]:
     return family, ns, [a * n + b for n in ns]
 
 
-def _grids(family: Family, ns) -> tuple:
-    """The family, the checked ns, and the angles theta = (j + offset) pi / K,
-    j = 0..n-1, and points cos(theta) of their grids, concatenated, with
-    each grid's bounds and each angle's K."""
+def _angles(family: Family, ns) -> np.ndarray:
+    """The angles theta = (j + offset) pi / K, j = 0..n-1, of the grids of
+    the checked ns of a Chebyshev family, concatenated."""
+    a, b = _HALF_PERIOD[family]
+    half = np.repeat(np.asarray([a * n + b for n in ns], dtype=float), ns)
+    j = np.arange(len(half)) - np.repeat(np.cumsum([0, *ns])[:-1], ns)  # 0..n-1 in each grid
+    offset = (b + 1) / 2  # (K - n + 1) / 2: symmetric about pi/2
+    return (j + offset) * np.pi / half
+
+
+def _grids(family: Family, ns) -> np.ndarray:
+    """The points cos(theta) of the grids of the checked ns of a Chebyshev
+    family, concatenated, read-only."""
+    points = np.cos(_angles(family, ns))
+    if family is Family.CLENSHAW_CURTIS:  # pin the ends, and odd n's midpoint, exactly
+        bounds = np.cumsum([0, *ns])
+        first, last = bounds[:-1], bounds[1:] - 1
+        points[first], points[last] = 1.0, -1.0
+        points[((first + last) // 2)[(last - first) % 2 == 0]] = 0.0
+    points.setflags(write=False)
+    return points
+
+
+def _chunk_grids(family: Family, ns) -> tuple:
+    """The family, checked ns, their K, their grids' points (_grid_store) and bounds."""
     family, ns, ks = _checked_ns(family, ns)
     if family not in CHEBYSHEV_FAMILIES:
         raise ValueError(f"Chebyshev point sets only, got {family}")
-    bounds = np.cumsum([0, *ns])  # grid i at [bounds[i], bounds[i+1])
-    first, last = bounds[:-1], bounds[1:] - 1
-    half = np.repeat(np.asarray(ks, dtype=float), ns)
-    j = np.arange(bounds[-1]) - np.repeat(first, ns)  # 0..n-1 in each grid
-    offset = (_HALF_PERIOD[family][1] + 1) / 2  # (K - n + 1) / 2: symmetric about pi/2
-    theta = (j + offset) * np.pi / half
-    points = np.cos(theta)
-    if family is Family.CLENSHAW_CURTIS:  # pin the ends, and odd n's midpoint, exactly
-        points[first], points[last] = 1.0, -1.0
-        points[((first + last) // 2)[(last - first) % 2 == 0]] = 0.0
-    return family, ns, theta, points, bounds, half
+    [points] = _grid_store.get([(family, tuple(ns))],
+                               lambda keys: {key: _grids(*key) for key in keys})
+    return family, ns, ks, points, np.cumsum([0, *ns])  # grid i at [bounds[i], bounds[i+1])
 
 
 def make_points(family: Family, n: int) -> np.ndarray:
-    """The n points of a Chebyshev family, in decreasing order, as
+    """The n points of a Chebyshev family, read-only, in decreasing order, as
     interp_rules places them (n >= 1; Clenshaw-Curtis needs n >= 2)."""
-    return _grids(family, (n,))[3]
+    return _chunk_grids(family, (n,))[3]
 
 
 def _fejer2_moment_fold(m: np.ndarray) -> np.ndarray:
@@ -237,6 +251,9 @@ def _twiddles(ns: list) -> dict:
 # _build_twiddle(n) by n, bounded in floats.  One n = 100..1000 sweep needs
 # 495 550 twiddle floats, 4 MB.
 _twiddle = _Store(1 << 19)
+# _grids(family, ns) by (family, tuple(ns)), bounded in points.  One
+# n = 100..1000 family sweep has 495 550 points, 4 MB.
+_grid_store = _Store(1 << 19)
 
 
 def _dct1(c: np.ndarray) -> np.ndarray:
@@ -287,7 +304,7 @@ def _dct2(c: np.ndarray) -> np.ndarray:
     return y
 
 
-def _dct3(c: np.ndarray) -> np.ndarray:
+def _dct3(c: np.ndarray, tw: np.ndarray) -> np.ndarray:
     """scipy.fft.dct(c, type=3): pocketfft's type-3 pass, the type-2 one reversed.
 
     For k = 1..(n+1)/2-1 and kc = n-k, (c_k, c_kc) become
@@ -295,10 +312,9 @@ def _dct3(c: np.ndarray) -> np.ndarray:
     t1 = c_k + c_kc and t2 = c_k - c_kc, and an even n's middle term is
     scaled by 2 tw_{n/2-1}; then the real FFT, read in halfcomplex order
     [R_0, R_1, I_1, R_2, ...], turns each pair (R_k, I_k) into
-    (R_k - I_k, I_k + R_k).  c is left unchanged.
+    (R_k - I_k, I_k + R_k).  tw is _build_twiddle(len(c)); c is left unchanged.
     """
     n = len(c)
-    tw = _twiddle.get([n], _twiddles)[0]
     h = (n + 1) // 2
     x = c.copy()
     a, b = x[1:h], x[n - 1:n - h:-1]
@@ -332,7 +348,7 @@ def interp_rules(family: Family, ns, m) -> tuple[np.ndarray, np.ndarray, np.ndar
 
     Returns:
         (points, weights, bounds), the rules concatenated in the order of
-        ns, rule i at [bounds[i], bounds[i+1]), its points equal to
+        ns, read-only, rule i at [bounds[i], bounds[i+1]), its points equal to
         make_points(family, n) and its weights to those of
         interp_rules(family, [n], m[:n]) bit for bit.  The weights w give
         sum_i w_i f(x_i) = sum_j b_j(f) m_j for every f, b_j(f) being the
@@ -343,24 +359,27 @@ def interp_rules(family: Family, ns, m) -> tuple[np.ndarray, np.ndarray, np.ndar
     m = np.asarray(m, dtype=float)
     if m.ndim != 1:
         raise ValueError("moments must be a 1-D array")
-    family, ns, theta, points, bounds, half = _grids(family, ns)
+    family, ns, ks, points, bounds = _chunk_grids(family, ns)
     top = max(ns, default=0)
     if len(m) < top:
         raise ValueError(f"{top}-point rules need {top} moments, got {len(m)}")
     if not np.all(np.isfinite(m[:top])):
         raise ValueError("moments must be finite")
+    transform, sines = _TRANSFORMS[family], None
+    args = ([(tw,) for tw in _twiddle.get(ns, _twiddles)] if family is Family.FEJER1
+            else [()] * len(ns))  # Fejer-1's twiddles, in one lookup for the chunk
     if family is Family.FEJER2:
-        m = _fejer2_moment_fold(m[:top])
-    transform = _TRANSFORMS[family]
+        m, sines = _fejer2_moment_fold(m[:top]), np.sin(_angles(family, ns))
     w = np.empty(bounds[-1])
-    for n, a, b in zip(ns, bounds.tolist(), bounds[1:].tolist()):
-        w[a:b] = transform(m[:n])
-    if family is Family.FEJER2:
-        w *= np.sin(theta)
-    w /= half
+    for n, k, a, b, extra in zip(ns, ks, bounds.tolist(), bounds[1:].tolist(), args):
+        t = transform(m[:n], *extra)
+        if sines is not None:
+            t *= sines[a:b]
+        np.divide(t, k, out=w[a:b])
     if family is Family.CLENSHAW_CURTIS:
         w[bounds[:-1]] *= 0.5
         w[bounds[1:] - 1] *= 0.5
+    w.setflags(write=False)
     return points, w, bounds
 
 

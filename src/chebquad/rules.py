@@ -18,13 +18,14 @@ nodes whose bits changed since their last evaluation; the others keep
 their values, which depend on nothing but a node's x and n.
 
 Sweeps run in chunks of at most _CHUNK_POINTS points (half as many
-Gauss-Legendre half-nodes), which bounds their working set.  rules_for
-builds a weighted sweep lazily, one chunk per step, from one moment
-table; apply_each calls the integrand once per chunk.  Built
-Gauss-Legendre rules are kept in a chebcore._Store bounded in total
-points, which holds a whole n = 10..1000 sweep, and the weights of built
-weighted chunks in another, which holds two n = 100..1000 sweeps; only
-rules_for reads or fills them.
+Gauss-Legendre half-nodes), which bounds their working set.  A weighted
+sweep is its chunks, built lazily from one moment table: the nodes from
+chebcore's grid store, the weights from a store of built chunks (two
+n = 100..1000 sweeps) or one interp_rules call.  rules_for splits them
+into per-rule views, the studies sum straight from them, and apply_each
+joins its rules back into chunks for the same summing code.  Built
+Gauss-Legendre rules are kept in a store bounded in total points, which
+holds a whole n = 10..1000 sweep.
 
 Every sum of a rule is correctly rounded, equal to math.fsum bit for bit;
 _rounded_sums gives the sums of all the rules of a chunk at once and
@@ -38,7 +39,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .chebcore import Family, _checked_ns, _grids, _Store, interp_rules
+from .chebcore import Family, _checked_ns, _chunk_grids, _Store, interp_rules
 from .errors import NumericalFailure
 from .moments import UNIT_WEIGHT, WeightSpec, moments_for
 
@@ -215,25 +216,25 @@ _WEIGHTED_STORE_POINTS = 1 << 20
 _weighted_rule_cached = _Store(_WEIGHTED_STORE_POINTS)
 
 
-def _weighted_rules(family: Family, ns: list[int], weight: WeightSpec) -> Iterator[QuadratureRule]:
-    """The rules of a sweep, one chunk at a time.  A chunk's weights come
-    from the store or from interp_rules; its nodes and bounds from that
-    call, or on a hit from the grid code it runs (chebcore._grids)."""
+def _weighted_chunks(family: Family, ns: list[int], weight: WeightSpec) -> Iterator[tuple]:
+    """(ns, nodes, weights, bounds) of each chunk of a sweep over checked ns:
+    rule i at [bounds[i], bounds[i+1]) of the read-only nodes and weights."""
     top = max(ns, default=1)
     moments = moments_for(weight, top - 1).values
     for chunk in _chunks(ns, lambda n: n, _CHUNK_POINTS):
-        built = []
+        [weights] = _weighted_rule_cached.get(
+            [(family, weight, top, tuple(chunk))],
+            lambda keys: {keys[0]: interp_rules(family, chunk, moments)[1]})
+        _, _, _, nodes, bounds = _chunk_grids(family, chunk)
+        yield chunk, nodes, weights, bounds
 
-        def build(keys):
-            built.extend(interp_rules(family, chunk, moments))
-            built[1].setflags(write=False)
-            return {keys[0]: built[1]}
 
-        [weights] = _weighted_rule_cached.get([(family, weight, top, tuple(chunk))], build)
-        nodes, bounds = (built[0], built[2]) if built else _grids(family, chunk)[3:5]
-        bounds = bounds.tolist()
-        for n, a, b in zip(chunk, bounds, bounds[1:]):
-            yield QuadratureRule(family, n, weight, nodes[a:b], weights[a:b])
+def _joined(rules: Iterable[QuadratureRule]) -> Iterator[tuple]:
+    """Chunks of at most _CHUNK_POINTS points of rules, as _weighted_chunks gives them."""
+    for chunk in _chunks(rules, _points, _CHUNK_POINTS):
+        ns = [rule.n for rule in chunk]
+        yield (ns, np.concatenate([rule.nodes for rule in chunk]),
+               np.concatenate([rule.weights for rule in chunk]), np.cumsum([0, *ns]))
 
 
 def rules_for(family: Family, ns: Iterable[int], weight: WeightSpec) -> Iterator[QuadratureRule]:
@@ -245,14 +246,25 @@ def rules_for(family: Family, ns: Iterable[int], weight: WeightSpec) -> Iterator
     once and the missing ones built in one batched Newton pass before this
     returns.  Weighted rules are built from one moment table
     M_0..M_{max(ns)-1}, one chunk at a time as the iterator advances
-    (nothing before the first next()).
+    (nothing before the first next()), each a view of its chunk's arrays.
     """
     family, ns, _ = _checked_ns(family, ns)
     if family is not Family.GAUSS_LEGENDRE:
-        return _weighted_rules(family, ns, weight)
+        return (QuadratureRule(family, n, weight, nodes[a:b], weights[a:b])
+                for chunk, nodes, weights, bounds in _weighted_chunks(family, ns, weight)
+                for n, a, b in zip(chunk, bounds.tolist(), bounds[1:].tolist()))
     if weight != UNIT_WEIGHT:
         raise ValueError("Gauss-Legendre handles only the unit weight jacobi:0:0")
     return iter(_gauss_legendre_cached.get(ns, _gauss_legendre_rules))
+
+
+def _rule_chunks(family: Family, ns: Iterable[int], weight: WeightSpec) -> Iterator[tuple]:
+    """rules_for(family, ns, weight) as _weighted_chunks gives its chunks;
+    a weighted sweep's come straight from the stores, unsplit."""
+    family, ns, _ = _checked_ns(family, ns)
+    if family is Family.GAUSS_LEGENDRE:
+        return _joined(rules_for(family, ns, weight))
+    return _weighted_chunks(family, ns, weight)
 
 
 def rule_for(family: Family, n: int, weight: WeightSpec) -> QuadratureRule:
@@ -317,14 +329,13 @@ def _rounded_sums(products: np.ndarray, bounds) -> list[float]:
     return sums
 
 
-def apply_each(rules: Iterable[QuadratureRule], f) -> list[float]:
-    """apply for every rule, in order, one chunk of rules at a time: ``f``
-    is called once over a chunk's concatenated nodes (so it must act
-    elementwise), or node by node if it is scalar-only, and the chunk's
-    sums come from one _rounded_sums call."""
+def _chunk_sums(chunks: Iterable[tuple], f) -> list[float]:
+    """The sums of f under every rule of each (ns, nodes, weights, bounds)
+    chunk, in order: ``f`` is called once over a chunk's nodes (so it must
+    act elementwise), or node by node if it is scalar-only, and the
+    chunk's sums come from one _rounded_sums call."""
     sums = []
-    for chunk in _chunks(rules, _points, _CHUNK_POINTS):
-        nodes = np.concatenate([rule.nodes for rule in chunk])
+    for _, nodes, weights, bounds in chunks:
         try:
             fv = np.asarray(f(nodes), dtype=float)
             if fv.shape != nodes.shape:
@@ -333,9 +344,14 @@ def apply_each(rules: Iterable[QuadratureRule], f) -> list[float]:
             fv = np.array([float(f(x)) for x in nodes])
         if not np.all(np.isfinite(fv)):
             raise ValueError("integrand returned a non-finite value at a quadrature node")
-        products = np.concatenate([rule.weights for rule in chunk]) * fv
-        sums += _rounded_sums(products, np.cumsum([0, *map(_points, chunk)]))
+        sums += _rounded_sums(weights * fv, bounds)
     return sums
+
+
+def apply_each(rules: Iterable[QuadratureRule], f) -> list[float]:
+    """apply for every rule, in order: _chunk_sums over the rules joined
+    into chunks of at most _CHUNK_POINTS points."""
+    return _chunk_sums(_joined(rules), f)
 
 
 def apply(rule: QuadratureRule, f) -> float:

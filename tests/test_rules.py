@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from chebquad import rules
+from chebquad import chebcore, rules
+from chebquad.analysis import abspow, weight_sum_study
 from chebquad.chebcore import CHEBYSHEV_FAMILIES, Family, _Store, chebyshev_T
 from chebquad.errors import NumericalFailure
 from chebquad.moments import WeightKind, WeightSpec, moments_for
@@ -348,12 +350,19 @@ def test_weighted_sweep_is_bit_identical_to_one_rule_builds(family, weight):
        weight=st.sampled_from(SWEEP_WEIGHTS[:2]))
 @settings(max_examples=30, deadline=None)
 def test_weighted_sweep_takes_unsorted_and_repeated_ns(ns, family, weight):
-    built = list(rules_for(family, ns, weight))
-    assert [r.n for r in built] == ns
-    for rule in built:
-        _assert_weighted_per_n_bits(rule)
-    f = lambda x: np.abs(x - 0.5) ** 1.6
-    assert apply_each(built, f) == [math.fsum(r.weights * f(r.nodes)) for r in built]
+    # a grid store of 2^12 points drops most chunks' grids between sweeps
+    with mock.patch.object(chebcore, "_grid_store", _Store(1 << 12)):
+        built = list(rules_for(family, ns, weight))
+        assert [r.n for r in built] == ns
+        for rule in built:
+            _assert_weighted_per_n_bits(rule)
+        f = lambda x: np.abs(x - 0.5) ** 1.6
+        expected = [math.fsum(r.weights * f(r.nodes)) for r in built]
+        assert apply_each(built, f) == expected
+        assert rules._chunk_sums(rules._rule_chunks(family, ns, weight), f) == expected
+        rows = weight_sum_study(family, weight, ns)
+        assert [(n, total) for n, total, _ in rows] == [
+            (r.n, math.fsum(np.abs(r.weights))) for r in built]
 
 
 def _sweep_chunks(ns) -> int:
@@ -407,6 +416,31 @@ def test_weighted_store_is_bounded_in_floats(interp_rules_calls):
     assert len(interp_rules_calls) == info.misses + 1
 
 
+def test_grid_store_computes_each_chunks_grid_once(monkeypatch):
+    store = chebcore._grid_store
+    store.cache_clear()
+    rules._weighted_rule_cached.cache_clear()
+    calls, grids = [], chebcore._grids
+
+    def counted(family, ns):
+        calls.append((family, tuple(ns)))
+        return grids(family, ns)
+
+    monkeypatch.setattr(chebcore, "_grids", counted)
+    ns = list(range(100, 1001))
+    chunks = [tuple(chunk) for chunk in rules._chunks(ns, lambda n: n, rules._CHUNK_POINTS)]
+    for family in CHEBYSHEV_FAMILIES:  # the cheb-sweep order: two weights, two integrands
+        before = len(calls)
+        for s in (0.6, 1.6):
+            for weight in (JAC, LOG):
+                rules._chunk_sums(rules._rule_chunks(family, ns, weight), abspow(0.5, s))
+        assert calls[before:] == [(family, chunk) for chunk in chunks]
+        assert store.cache_info().currsize <= store.max_size == 1 << 19
+    # one family's grids fill the store: the first family's went, and come back once
+    list(rules_for(CHEBYSHEV_FAMILIES[0], ns, JAC))
+    assert calls[3 * len(chunks):] == [(CHEBYSHEV_FAMILIES[0], chunk) for chunk in chunks]
+
+
 # --- applying rules -----------------------------------------------------------
 
 
@@ -439,6 +473,12 @@ def test_apply_each_equals_per_rule_sums():
     scalar = [math.fsum(r.weights * np.array([math.exp(x) for x in r.nodes])) for r in sweep]
     assert apply_each(sweep, math.exp) == scalar  # math.exp rejects arrays
     assert apply(sweep[40], np.cos) == apply_each(sweep, np.cos)[40]
+    # the sweep path: the same sums straight from the chunk arrays
+    chunks = lambda: rules._rule_chunks(Family.FEJER2, range(2, 1001), LOG)
+    calls.clear()
+    assert rules._chunk_sums(chunks(), f) == values
+    assert len(calls) == _sweep_chunks(range(2, 1001))
+    assert rules._chunk_sums(chunks(), math.exp) == scalar
 
 
 def _counting_fsum(monkeypatch) -> list:
@@ -548,8 +588,11 @@ def test_apply_each_rejects_non_finite_values_in_a_later_chunk():
     first, second = rules_for(Family.FEJER1, [10000, 10001], JAC)  # one chunk each
     bad = second.nodes[5]
     assert bad not in first.nodes
+    f = lambda x: np.where(x == bad, np.inf, 1.0)
     with pytest.raises(ValueError, match="non-finite"):
-        apply_each([first, second], lambda x: np.where(x == bad, np.inf, 1.0))
+        apply_each([first, second], f)
+    with pytest.raises(ValueError, match="non-finite"):  # the sweep path
+        rules._chunk_sums(rules._rule_chunks(Family.FEJER1, [10000, 10001], JAC), f)
 
 
 # --- weight sums (stability of the rules) -------------------------------------
