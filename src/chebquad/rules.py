@@ -15,13 +15,16 @@ half-nodes of many n at once; every node goes through the operations of a
 one-rule build in the same order, so the rules do not depend on which
 others were built alongside.  A round re-runs the recurrence only at the
 nodes whose bits changed since their last evaluation; the others keep
-their values, which depend on nothing but a node's x and n.
+their dp and dx, which depend on nothing but a node's x and n.  Rules
+join one pool of rounds as the late rounds of others free room, so each
+recurrence pass runs on up to 2 * _CHUNK_POINTS half-nodes, where its
+five working arrays (1.25 MiB) still fit a 2 MiB L2 cache.
 
-Sweeps run in chunks of at most _CHUNK_POINTS points (half as many
-Gauss-Legendre half-nodes), which bounds their working set.  A weighted
-sweep is its chunks, built lazily from one moment table: the nodes from
-chebcore's grid store, the weights from a store of built chunks (two
-n = 100..1000 sweeps) or one interp_rules call.  rules_for splits them
+Weighted sweeps and apply_each run in chunks of at most _CHUNK_POINTS
+points, which bounds their working set.  A weighted sweep is its chunks,
+built lazily from one moment table: the nodes from chebcore's grid
+store, the weights from a store of built chunks (two n = 100..1000
+sweeps) or one interp_rules call.  rules_for splits them
 into per-rule views, the studies sum straight from them, and apply_each
 joins its rules back into chunks for the same summing code.  Built
 Gauss-Legendre rules are kept in a store bounded in total points, which
@@ -141,68 +144,73 @@ def _gauss_rule(n: int, half_nodes: np.ndarray, half_weights: np.ndarray) -> Qua
     return QuadratureRule(Family.GAUSS_LEGENDRE, n, UNIT_WEIGHT, nodes, weights)
 
 
-def _gauss_legendre_chunk(ns: list[int]) -> list[QuadratureRule]:
-    """The rules for distinct, descending ns, built in one set of packed arrays.
+def _gauss_legendre_rules(ns: list[int]) -> dict[int, QuadratureRule]:
+    """The batched builder: the rules for every n in ns, by n, bit for bit
+    equal to one-rule builds, from one pool of Newton rounds.
 
-    Each round calls _legendre_pairs once, on the nodes whose bits changed
-    since their last evaluation (perhaps none); the others keep their pairs.
-    A rule takes Newton steps until max|dx| <= 1e-14 over its own nodes,
-    then one polishing step, after which an odd n gets its exact zero
-    node; the next round gives its weights 2 / ((1 - x^2) P_n'(x)^2) and
-    it leaves the arrays.
+    Rules join the packed arrays in descending n, so degrees never increase
+    along them: before each round, as many as fit with the round's moved
+    nodes in a budget of 2 * _CHUNK_POINTS half-nodes (one larger rule
+    joins only a round that evaluates nothing else).  A round calls
+    _legendre_pairs once, on the nodes whose bits changed since their last
+    evaluation, and updates their dp and dx; every other node keeps its
+    own, and x - dx == x there.  A rule takes Newton steps until
+    max|dx| <= 1e-14 over its own nodes, then one polishing step, after
+    which an odd n gets its exact zero node; the next round gives its
+    weights 2 / ((1 - x^2) P_n'(x)^2) and it leaves the pool.
     """
-    halves = [(n + 1) // 2 for n in ns]
-    x = np.concatenate([_initial_half_nodes(n) for n in ns])
-    degree = np.repeat(np.asarray(ns, dtype=float), halves)
-    live = list(range(len(ns)))   # rules in the arrays, in packing order
-    phase = [0] * len(ns)         # Newton steps taken, or _POLISH / _WEIGHTS
-    rules = [None] * len(ns)
-    at = np.full_like(x, np.nan)  # the x each node's pairs were last evaluated at
-    pairs = np.empty((2, len(x)))
-    while live:
-        moved = x.view(np.int64) != at.view(np.int64)  # by bits: -0.0 to 0.0 moves
-        pairs[:, moved] = _legendre_pairs(x[moved], degree[moved])
-        at[moved] = x[moved]
-        p, p_prev = pairs
-        dp = degree * (x * p - p_prev) / (x * x - 1.0)
-        dx = p / dp
-        sizes = [halves[r] for r in live]
+    waiting = sorted(set(ns))  # the next rule to join is the last
+    live, phase = [], []       # rules in the pool, in packing order; Newton steps
+    # taken, or _POLISH / _WEIGHTS
+    rules: dict[int, QuadratureRule] = {}
+    state = np.empty((4, 0))   # rows x, degree, dp, dx of the pool's half-nodes
+    moved = np.empty(0, dtype=bool)
+    while waiting or live:
+        room, joining = 2 * _CHUNK_POINTS - np.count_nonzero(moved), []
+        while waiting and ((waiting[-1] + 1) // 2 <= room or room == 2 * _CHUNK_POINTS):
+            joining.append(waiting.pop())
+            room -= (joining[-1] + 1) // 2
+        if joining:
+            x = np.concatenate([_initial_half_nodes(n) for n in joining])
+            state = np.concatenate((state, [x, np.repeat(np.asarray(joining, dtype=float),
+                                                         [(n + 1) // 2 for n in joining]),
+                                            x, x]), axis=1)  # dp, dx: set before use
+            moved = np.concatenate((moved, np.ones(len(x), dtype=bool)))
+            live, phase = live + joining, phase + [0] * len(joining)
+        x, degree, dp, dx = state
+        at = np.flatnonzero(moved)
+        xm, dm = x[at], degree[at]
+        p, p_prev = _legendre_pairs(xm, dm)
+        dp[at] = dm * (xm * p - p_prev) / (xm * xm - 1.0)
+        dx[at] = p / dp[at]
+        sizes = [(n + 1) // 2 for n in live]
         ends = np.cumsum(sizes)
         starts = ends - sizes
-        for r, s, e in zip(live, starts, ends):
+        pins = []
+        for r, (n, s, e, step) in enumerate(zip(live, starts.tolist(), ends.tolist(),
+                                                np.maximum.reduceat(np.abs(dx), starts).tolist())):
             if phase[r] == _WEIGHTS:
-                rules[r] = _gauss_rule(ns[r], x[s:e], 2.0 / ((1.0 - x[s:e] * x[s:e])
-                                                            * dp[s:e] * dp[s:e]))
-        x -= dx
-        max_dx = np.maximum.reduceat(np.abs(dx), starts)
-        for r, e, step in zip(live, ends, max_dx):
-            if phase[r] == _POLISH:
-                if ns[r] % 2 == 1:
-                    x[e - 1] = 0.0
+                rules[n] = _gauss_rule(n, x[s:e], 2.0 / ((1.0 - x[s:e] * x[s:e])
+                                                         * dp[s:e] * dp[s:e]))
+            elif phase[r] == _POLISH:
+                pins += [e - 1] * (n % 2)
                 phase[r] = _WEIGHTS
-            elif phase[r] >= 0:
-                if step <= _NEWTON_TOL:
-                    phase[r] = _POLISH
-                elif phase[r] + 1 == _NEWTON_STEPS:
-                    raise NumericalFailure(
-                        f"Gauss-Legendre Newton iteration stalled at n={ns[r]}")
-                else:
-                    phase[r] += 1
-        left = [rules[r] is None for r in live]
-        if not all(left):
-            keep = np.repeat(left, sizes)
-            x, degree, at, pairs = x[keep], degree[keep], at[keep], pairs[:, keep]
-            live = [r for r, stays in zip(live, left) if stays]
-    return rules
-
-
-def _gauss_legendre_rules(ns: list[int]) -> dict[int, QuadratureRule]:
-    """The batched builder: the rules for every n in ns, by n, built in
-    chunks of descending n, bit for bit equal to one-rule builds."""
-    rules: dict[int, QuadratureRule] = {}
-    for chunk in _chunks(sorted(set(ns), reverse=True), lambda n: (n + 1) // 2,
-                         _CHUNK_POINTS // 2):
-        rules.update(zip(chunk, _gauss_legendre_chunk(chunk)))
+            elif step <= _NEWTON_TOL:
+                phase[r] = _POLISH
+            elif phase[r] + 1 == _NEWTON_STEPS:
+                raise NumericalFailure(f"Gauss-Legendre Newton iteration stalled at n={n}")
+            else:
+                phase[r] += 1
+        pinned, stepped = x[pins], xm - dx[at]  # pinned: where last evaluated
+        x[at], moved[:] = stepped, False
+        moved[at] = stepped.view(np.int64) != xm.view(np.int64)  # by bits: -0.0 to 0.0 moves
+        x[pins] = 0.0
+        moved[pins] = pinned.view(np.int64) != 0
+        stays = [n not in rules for n in live]
+        if not all(stays):
+            keep = np.repeat(stays, sizes)
+            state, moved = state[:, keep], moved[keep]
+            live, phase = ([v for v, k in zip(vs, stays) if k] for vs in (live, phase))
     return rules
 
 

@@ -173,37 +173,94 @@ def test_gauss_mixed_batches_are_bit_identical_to_one_rule_builds(ns):
         _assert_per_n_bits(rule)
 
 
-def test_gauss_rounds_rerun_the_recurrence_only_at_moved_nodes(monkeypatch):
-    """An n = 10..500 build from an empty store runs at most 55 % of the
-    recurrence steps (the degrees of the nodes given to _legendre_pairs) of
-    evaluating every node in the arrays every round.  A chunk calls
-    _legendre_pairs once per round, so a rule's rounds are the calls its
-    chunk made up to the round that gives its weights."""
+@settings(max_examples=10, deadline=None)
+@given(_gauss_batches())
+@example([1200, 3, 1, 1199, 2, 1200, 641])
+@example([40, 33, 2, 1, 7, 8])
+@pytest.mark.parametrize("points", [2, 16, 64])
+def test_gauss_pool_admission_is_bit_identical_to_one_rule_builds(points, ns):
+    # with a budget of 4, 32 or 128 half-nodes rules join mid-flight, as the
+    # late rounds free room, and a rule larger than the budget joins only a
+    # round in which no other node moved
     rules._gauss_legendre_cached.cache_clear()
-    chunk, pairs, gauss_rule = (rules._gauss_legendre_chunk, rules._legendre_pairs,
-                                rules._gauss_rule)
-    calls, steps, rounds = [0], [0], {}
+    with mock.patch.object(rules, "_CHUNK_POINTS", points):
+        built = list(rules_for(Family.GAUSS_LEGENDRE, ns, UNIT))
+    assert [r.n for r in built] == ns
+    for rule in built:
+        _assert_per_n_bits(rule)
 
-    def counted_chunk(ns):
-        calls[0] = 0
-        return chunk(ns)
+
+def test_gauss_stall_after_other_rules_finished_names_the_rule(monkeypatch):
+    # three steps: n = 1200 and 1100 converge, n = 40 needs four; with a
+    # budget of 4 half-nodes n = 40 joins after both have left with their weights
+    rules._gauss_legendre_cached.cache_clear()
+    monkeypatch.setattr(rules, "_NEWTON_STEPS", 3)
+    monkeypatch.setattr(rules, "_CHUNK_POINTS", 2)
+    finished, gauss_rule = [], rules._gauss_rule
+    monkeypatch.setattr(rules, "_gauss_rule",
+                        lambda n, *half: finished.append(n) or gauss_rule(n, *half))
+    with pytest.raises(NumericalFailure, match=r"stalled at n=40$"):
+        list(rules_for(Family.GAUSS_LEGENDRE, [40, 1200, 1100], UNIT))
+    assert finished == [1200, 1100]
+    assert rules._gauss_legendre_cached.cache_info().currsize == 0
+
+
+def _counted_gauss_build(monkeypatch, ns) -> dict:
+    """Build the rules for ns from an empty store and count the work:
+    _legendre_pairs calls, recurrence steps (the loop runs j = 2..max
+    degree once per call), node-steps (the degrees of the nodes given to
+    it), each rule's rounds (the calls from the one that follows its
+    _initial_half_nodes, when it joins, to the one before its _gauss_rule,
+    its weights round) and the peak of the half-nodes in the pool."""
+    rules._gauss_legendre_cached.cache_clear()
+    pairs, guesses, gauss_rule = rules._legendre_pairs, rules._initial_half_nodes, rules._gauss_rule
+    count = {"calls": 0, "steps": 0, "node_steps": 0, "live": 0, "peak": 0}
+    joined, rounds = {}, {}
+
+    def counted_guesses(n):
+        joined[n] = count["calls"]
+        count["live"] += (n + 1) // 2
+        count["peak"] = max(count["peak"], count["live"])
+        return guesses(n)
 
     def counted_pairs(x, degree):
-        calls[0] += 1
-        steps[0] += int(degree.sum())
+        count["calls"] += 1
+        count["steps"] += max(int(degree.max(initial=1)) - 1, 0)
+        count["node_steps"] += int(degree.sum())
         return pairs(x, degree)
 
     def counted_rule(n, half_nodes, half_weights):
-        rounds[n] = calls[0]
+        rounds[n] = count["calls"] - joined[n]
+        count["live"] -= len(half_nodes)
         return gauss_rule(n, half_nodes, half_weights)
 
-    monkeypatch.setattr(rules, "_gauss_legendre_chunk", counted_chunk)
+    monkeypatch.setattr(rules, "_initial_half_nodes", counted_guesses)
     monkeypatch.setattr(rules, "_legendre_pairs", counted_pairs)
     monkeypatch.setattr(rules, "_gauss_rule", counted_rule)
-    ns = range(10, 501)
     list(rules_for(Family.GAUSS_LEGENDRE, ns, UNIT))
-    every_node = sum(rounds[n] * ((n + 1) // 2) * n for n in ns)
-    assert steps[0] <= 0.55 * every_node, (steps[0], every_node)
+    return count | {"rounds": rounds}
+
+
+def test_gauss_rounds_rerun_the_recurrence_only_at_moved_nodes(monkeypatch):
+    """An n = 10..500 build from an empty store runs at most 55 % of the
+    node-steps of evaluating every node of a rule in every one of its rounds."""
+    ns = range(10, 501)
+    count = _counted_gauss_build(monkeypatch, ns)
+    every_node = sum(count["rounds"][n] * ((n + 1) // 2) * n for n in ns)
+    assert count["node_steps"] <= 0.55 * every_node, (count["node_steps"], every_node)
+
+
+def test_gauss_pool_runs_each_recurrence_pass_on_a_full_budget(monkeypatch):
+    """The late rounds' few moved nodes share their recurrence passes with
+    the first rounds of the rules that join.  An n = 10..500 build evaluates
+    the same 46 074 563 node-steps as separate chunks of 2^13 half-nodes,
+    which took 41 passes of 14 174 steps in all, in at most 12 passes of
+    at most 4 000; the pool holds at most four budgets on n = 10..1000."""
+    count = _counted_gauss_build(monkeypatch, range(10, 501))
+    assert count["node_steps"] == 46_074_563
+    assert count["calls"] <= 12 and count["steps"] <= 4000, count
+    count = _counted_gauss_build(monkeypatch, range(10, 1001))
+    assert count["peak"] <= 4 * 2 * rules._CHUNK_POINTS, count["peak"]
 
 
 # --- weighted Chebyshev-point rules -----------------------------------------
