@@ -9,13 +9,14 @@ on Gauss-Legendre the fold gives the leading 2/(1-4r^2) and pi/2 terms of
 the error.  This module provides the canonical (p, j, sign) reduction,
 the exact errors E_n[T_m] = I[T_m] - I_n[T_m] of every family with their
 predictions, and a truncated error-series consistency check.  Every rule
-value I_n[T_m] comes from one correctly rounded node-sum path, and the
+value I_n[T_m] is a correctly rounded sum of rules._chunk_sums, and the
 series terms are the E_n[T_m] that `alias-table` prints.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -24,8 +25,8 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .chebcore import CHEBYSHEV_FAMILIES, Family, _checked_ns, cheb_expansion_coeffs
-from .moments import WeightSpec, moments_for
-from .rules import _CHUNK_POINTS, QuadratureRule, _chunks, _rounded_sums, apply, rule_for
+from .moments import WeightSpec, _bucket, moments_for
+from .rules import QuadratureRule, _chunk_sums, _joined, _rounded_sums, apply, rule_for
 
 
 class ReducedForm(enum.Enum):
@@ -80,12 +81,13 @@ def alias_reduce(family: Family, n: int, m: int) -> tuple[int, int, int]:
     """
     if Family(family) not in CHEBYSHEV_FAMILIES:
         raise ValueError(f"alias_reduce covers Chebyshev families only, got {family}")
-    return _reduce(family, n, m)[:3]
+    family, (n,), (half,) = _checked_ns(family, (n,))
+    return _fold(family, n, half, m)[:3]
 
 
-def _reduce(family: Family, n: int, m: int) -> tuple:
-    """(p, j, sign, form, r) of degree m on the n-point rule, from the one
-    fold m = 2pK + side * d, 0 <= d <= K, with the family's half-period K.
+def _fold(family: Family, n: int, half: int, m: int) -> tuple:
+    """(p, j, sign, form, r) of degree m on a checked n-point rule of
+    half-period K = half, from the one fold m = 2pK + side * d, 0 <= d <= K.
 
     On the Chebyshev families j = d.  On Gauss-Legendre (K = 2n+1) an even
     m >= 2n is m = j(4n+2) + 2r with j = p, r = side * d / 2 and |r| < n,
@@ -93,7 +95,6 @@ def _reduce(family: Family, n: int, m: int) -> tuple:
     -+ 1 with j = p + (side > 0), where I_n[T_m] ~ side (-1)^j pi/2 (a sign
     pairing fixed numerically); its records carry p = j.
     """
-    family, (n,), (half,) = _checked_ns(family, (n,))
     m = operator.index(m)
     if m < 0:
         raise ValueError(f"degree must be nonnegative, got {m}")
@@ -126,15 +127,11 @@ def _reduce(family: Family, n: int, m: int) -> tuple:
 
 
 def _rule_values(rule: QuadratureRule, degrees: list[int]) -> list[float]:
-    """I_n[T_m] for every m in degrees, correctly rounded: the products
-    w_i cos(m arccos x_i) (chebyshev_T's arithmetic) of at most _CHUNK_POINTS
-    at a time, summed by one rules._rounded_sums call per chunk."""
+    """I_n[T_m] for every m in degrees, correctly rounded: rules._chunk_sums
+    of cos over one (n, m theta, w) rule per degree, theta = arccos x, so
+    every product is w_i cos(m arccos x_i) (chebyshev_T's arithmetic)."""
     theta = np.arccos(np.clip(rule.nodes, -1.0, 1.0))
-    values = []
-    for chunk in _chunks(degrees, lambda _: rule.n, _CHUNK_POINTS):
-        products = rule.weights * np.cos(np.multiply.outer(np.asarray(chunk, dtype=float), theta))
-        values += _rounded_sums(products.ravel(), range(0, products.size + 1, rule.n))
-    return values
+    return _chunk_sums(_joined((rule.n, m * theta, rule.weights) for m in degrees), np.cos)
 
 
 def _legendre_exact(m: int) -> float:
@@ -155,10 +152,12 @@ def alias_errors(family: Family, n: int, ms: Iterable[int], weight: WeightSpec) 
     Fejer-1, and the leading 2/(1-4r^2) or pi/2 on Gauss-Legendre (the
     exact integral itself, a zero prediction, for GAUSS_EXACT).  Every m is
     checked before any node sum; the sums all come from one _rule_values
-    call.  Each Chebyshev m takes its own moment table M_0..M_m.
+    call, and each size of moment table (moments._bucket) is fetched once.
     """
     rule = rule_for(family, n, weight)
-    reduced = [(m, *_reduce(rule.family, rule.n, m)) for m in map(operator.index, ms)]
+    family, (n,), (half,) = _checked_ns(rule.family, (rule.n,))
+    reduced = [(m, *_fold(family, n, half, m)) for m in map(operator.index, ms)]
+    table_of = functools.cache(lambda size: moments_for(weight, size).values)
     edges = (rule.n, rule.n + 1) if rule.family is Family.FEJER2 else ()
     degrees = sorted({m for m, *_ in reduced}.union(edges))
     node_sum = dict(zip(degrees, _rule_values(rule, degrees)))
@@ -167,7 +166,7 @@ def alias_errors(family: Family, n: int, ms: Iterable[int], weight: WeightSpec) 
         if rule.family is Family.GAUSS_LEGENDRE:
             exact, leading = _legendre_exact(m), 0.0
         else:
-            table = moments_for(weight, m).values
+            table = table_of(_bucket(m))
             exact, leading = table[m], abs(table[j])
         if form is ReducedForm.GAUSS_EXACT:
             value = exact

@@ -32,7 +32,7 @@ import numpy as np
 from .chebcore import Family
 from .errors import NumericalFailure
 from .moments import UNIT_WEIGHT, WeightKind, WeightSpec, min_bar, moments_for
-from .rules import _chunk_sums, _rounded_sums, _rule_chunks, rules_for
+from .rules import _chunk_sums, _joined, _rounded_sums, _rule_chunks, rules_for
 
 __all__ = [
     "TestKind",
@@ -194,7 +194,7 @@ def _panel_depth(exponent: float, length: float) -> int:
     return max(depth, 4)
 
 
-def _float_region(weight: WeightSpec, f: TestFunction, region: _Region) -> list[float]:
+def _float_region(weight: WeightSpec, f: TestFunction, region: _Region) -> np.ndarray:
     """Contributions of one region under graded-panel Gauss-Legendre."""
     depth = _panel_depth(region.exponent, region.length)
     hi = region.length * np.exp2(-np.arange(depth, dtype=float))
@@ -211,14 +211,14 @@ def _float_region(weight: WeightSpec, f: TestFunction, region: _Region) -> list[
         fv = f(region.x0 + region.dx * z)
     else:
         fv = np.abs((region.x0 - f.c) + region.dx * z) ** f.s
-    return np.ravel(wq * w * fv).tolist()
+    return np.ravel(wq * w * fv)
 
 
 def _float_value(weight: WeightSpec, f: TestFunction) -> float:
-    terms: list[float] = []
-    for region in _regions_for(weight, f):
-        terms.extend(_float_region(weight, f, region))
-    return math.fsum(terms)
+    """The graded-panel value: every region's terms, one _rounded_sums segment."""
+    terms = np.concatenate([_float_region(weight, f, region)
+                            for region in _regions_for(weight, f)])
+    return _rounded_sums(terms, [0, len(terms)])[0]
 
 
 def _kink_piece(alpha, beta, c, s):
@@ -579,14 +579,13 @@ def gauss_open_problem_study(
         raise ValueError("the open-problem experiment needs an X^s test function")
     ns = _sweep_ns(ns)
     reference, _ = oracle_integral(weight, f)
-    gj = []
-    for n in ns:
-        x, w = scipy.special.roots_jacobi(n, weight.alpha, weight.beta)
-        gj.append(abs(reference - math.fsum((w * f(x)).tolist())))
-    gl = [abs(reference - math.fsum((rule.weights * weight(rule.nodes) * f(rule.nodes)).tolist()))
-          for rule in rules_for(Family.GAUSS_LEGENDRE, ns, UNIT_WEIGHT)]
-    cc = [abs(reference - value)
-          for value in _chunk_sums(_rule_chunks(Family.CLENSHAW_CURTIS, ns, weight), f)]
+    columns = [  # every product as (rule weight) * f(node); GL's weight is w * W(x)
+        _joined((n, *scipy.special.roots_jacobi(n, weight.alpha, weight.beta)) for n in ns),
+        _joined((r.n, r.nodes, r.weights * weight(r.nodes))
+                for r in rules_for(Family.GAUSS_LEGENDRE, ns, UNIT_WEIGHT)),
+        _rule_chunks(Family.CLENSHAW_CURTIS, ns, weight)]
+    gj, gl, cc = ([abs(reference - value) for value in _chunk_sums(chunks, f)]
+                  for chunks in columns)
     fit_window = _fit_window(ns, fit_window)
     slopes = {}
     for name, errs in (("gauss-jacobi", gj), ("gauss-legendre", gl),

@@ -25,14 +25,15 @@ points, which bounds their working set.  A weighted sweep is its chunks,
 built lazily from one moment table: the nodes from chebcore's grid
 store, the weights from a store of built chunks (two n = 100..1000
 sweeps) or one interp_rules call.  rules_for splits them
-into per-rule views, the studies sum straight from them, and apply_each
-joins its rules back into chunks for the same summing code.  Built
+into per-rule views, the studies sum straight from them, and _joined
+packs any other (n, nodes, weights) rules into chunks alike.  Built
 Gauss-Legendre rules are kept in a store bounded in total points, which
 holds a whole n = 10..1000 sweep.
 
-Every sum of a rule is correctly rounded, equal to math.fsum bit for bit;
-_rounded_sums gives the sums of all the rules of a chunk at once and
-leaves to math.fsum only the few it cannot certify.
+One summing path: _chunk_sums alone forms and sums rules' products, for
+apply_each, the studies and the alias tables, by one call per chunk of
+_rounded_sums, the one kernel: math.fsum bit for bit, left to it only
+where a sum is not certified.
 """
 
 import math
@@ -72,7 +73,6 @@ class QuadratureRule:
 
 
 _CHUNK_POINTS = 1 << 14  # points per chunk of a sweep
-_points = operator.attrgetter("n")  # of a rule
 
 
 def _chunks(items: Iterable, size, limit: int) -> Iterator[list]:
@@ -215,7 +215,7 @@ def _gauss_legendre_rules(ns: list[int]) -> dict[int, QuadratureRule]:
 
 
 # Gauss-Legendre rules by n.
-_gauss_legendre_cached = _Store(_GAUSS_STORE_POINTS, size=_points)
+_gauss_legendre_cached = _Store(_GAUSS_STORE_POINTS, size=operator.attrgetter("n"))
 # The weights of built weighted sweep chunks, read-only, by (family, weight,
 # max(ns), chunk): these fix every input of the chunk's interp_rules call,
 # the moment table's bucket included.  Two n = 100..1000 sweeps hold
@@ -237,12 +237,12 @@ def _weighted_chunks(family: Family, ns: list[int], weight: WeightSpec) -> Itera
         yield chunk, nodes, weights, bounds
 
 
-def _joined(rules: Iterable[QuadratureRule]) -> Iterator[tuple]:
-    """Chunks of at most _CHUNK_POINTS points of rules, as _weighted_chunks gives them."""
-    for chunk in _chunks(rules, _points, _CHUNK_POINTS):
-        ns = [rule.n for rule in chunk]
-        yield (ns, np.concatenate([rule.nodes for rule in chunk]),
-               np.concatenate([rule.weights for rule in chunk]), np.cumsum([0, *ns]))
+def _joined(rules: Iterable[tuple]) -> Iterator[tuple]:
+    """(n, nodes, weights) rules joined into chunks of at most _CHUNK_POINTS
+    points, as _weighted_chunks gives them; a larger rule is a chunk of its own."""
+    for chunk in _chunks(rules, operator.itemgetter(0), _CHUNK_POINTS):
+        ns, nodes, weights = zip(*chunk)
+        yield ns, np.concatenate(nodes), np.concatenate(weights), np.cumsum([0, *ns])
 
 
 def rules_for(family: Family, ns: Iterable[int], weight: WeightSpec) -> Iterator[QuadratureRule]:
@@ -271,7 +271,7 @@ def _rule_chunks(family: Family, ns: Iterable[int], weight: WeightSpec) -> Itera
     a weighted sweep's come straight from the stores, unsplit."""
     family, ns, _ = _checked_ns(family, ns)
     if family is Family.GAUSS_LEGENDRE:
-        return _joined(rules_for(family, ns, weight))
+        return _joined((r.n, r.nodes, r.weights) for r in rules_for(family, ns, weight))
     return _weighted_chunks(family, ns, weight)
 
 
@@ -359,7 +359,7 @@ def _chunk_sums(chunks: Iterable[tuple], f) -> list[float]:
 def apply_each(rules: Iterable[QuadratureRule], f) -> list[float]:
     """apply for every rule, in order: _chunk_sums over the rules joined
     into chunks of at most _CHUNK_POINTS points."""
-    return _chunk_sums(_joined(rules), f)
+    return _chunk_sums(_joined((r.n, r.nodes, r.weights) for r in rules), f)
 
 
 def apply(rule: QuadratureRule, f) -> float:

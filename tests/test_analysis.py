@@ -121,6 +121,17 @@ def test_oracle_refuses_exponents_near_minus_one():
         oracle_integral(WeightSpec(WeightKind.JACOBI, 0.0, -0.99), abspow(0.5, 1.6))
 
 
+@pytest.mark.parametrize("weight, f", [
+    (WeightSpec(WeightKind.JACOBI, -0.6, -0.5), abspow(0.5, 0.6)),
+    (WeightSpec(WeightKind.LOGJACOBI, -0.3, 0.2), powplus(0.3, 1.6)),
+    (CHEB, custom(lambda x: np.exp(x) * np.cos(3.0 * x))),
+])
+def test_panel_value_is_fsum_of_its_region_terms(weight, f):
+    terms = [term for region in analysis._regions_for(weight, f)
+             for term in analysis._float_region(weight, f, region).tolist()]
+    assert analysis._float_value(weight, f).hex() == math.fsum(terms).hex()
+
+
 def test_oracle_refuses_a_nan_panel_value(monkeypatch):
     analysis._oracle.cache_clear()
     monkeypatch.setattr(analysis, "_float_value", lambda weight, f: math.nan)
@@ -333,6 +344,27 @@ def test_moment_decay_exponents():
 def test_moment_decay_validation():
     with pytest.raises(ValueError):
         moment_decay_exponent(UNIT, k_lo=64, k_hi=32)
+
+
+def test_open_problem_columns_equal_per_n_fsum_bit_for_bit(monkeypatch):
+    import scipy.special
+
+    # 150 points: small rules share chunks across their boundaries, and each
+    # n > 150 is a chunk of its own
+    monkeypatch.setattr(rules, "_CHUNK_POINTS", 150)
+    weight, f, ns = WeightSpec(WeightKind.JACOBI, 0.2, -0.3), abspow(0.4, 1.45), range(10, 200, 7)
+    report = gauss_open_problem_study(weight, f, ns)
+
+    def errors(products):
+        return tuple(abs(report.reference - math.fsum(p.tolist())) for p in products)
+
+    gj = (w * f(x) for x, w in (scipy.special.roots_jacobi(n, 0.2, -0.3) for n in ns))
+    gl = (r.weights * weight(r.nodes) * f(r.nodes)
+          for r in rules.rules_for(Family.GAUSS_LEGENDRE, ns, UNIT))
+    cc = (r.weights * f(r.nodes) for r in rules.rules_for(Family.CLENSHAW_CURTIS, ns, weight))
+    assert report.gauss_jacobi_errors == errors(gj)
+    assert report.gauss_legendre_errors == errors(gl)
+    assert report.clenshaw_curtis_errors == errors(cc)
 
 
 def test_open_problem_study_reports_without_verdict():

@@ -516,26 +516,34 @@ def test_apply_rejects_non_finite_values():
 
 
 def test_apply_each_equals_per_rule_sums():
-    sweep = list(rules_for(Family.FEJER2, range(2, 1001), LOG))
     calls = []
 
     def f(x):
         calls.append(len(x))
         return np.exp(x) * np.abs(x - 0.3) ** 0.7
 
-    values = apply_each(sweep, f)
-    assert len(calls) == len(list(rules._chunks(sweep, lambda r: r.n, rules._CHUNK_POINTS)))
-    assert max(calls) <= rules._CHUNK_POINTS
-    assert values == [math.fsum(r.weights * f(r.nodes)) for r in sweep]
-    scalar = [math.fsum(r.weights * np.array([math.exp(x) for x in r.nodes])) for r in sweep]
-    assert apply_each(sweep, math.exp) == scalar  # math.exp rejects arrays
-    assert apply(sweep[40], np.cos) == apply_each(sweep, np.cos)[40]
-    # the sweep path: the same sums straight from the chunk arrays
-    chunks = lambda: rules._rule_chunks(Family.FEJER2, range(2, 1001), LOG)
-    calls.clear()
-    assert rules._chunk_sums(chunks(), f) == values
-    assert len(calls) == _sweep_chunks(range(2, 1001))
-    assert rules._chunk_sums(chunks(), math.exp) == scalar
+    # At 500 points the rules n = 2..31 (495 points) share the first chunk,
+    # later chunks split the run of rules, and each n > 500 is a chunk alone.
+    for points in (rules._CHUNK_POINTS, 500):
+        with mock.patch.object(rules, "_CHUNK_POINTS", points):
+            sweep = list(rules_for(Family.FEJER2, range(2, 1001), LOG))
+            calls.clear()
+            values = apply_each(sweep, f)
+            assert calls == [sum(r.n for r in chunk)
+                             for chunk in rules._chunks(sweep, lambda r: r.n, points)]
+            assert max(calls) <= points or (calls[0] == 495
+                                            and calls[-500:] == list(range(501, 1001)))
+            assert values == [math.fsum(r.weights * f(r.nodes)) for r in sweep]
+            scalar = [math.fsum(r.weights * np.array([math.exp(x) for x in r.nodes]))
+                      for r in sweep]
+            assert apply_each(sweep, math.exp) == scalar  # math.exp rejects arrays
+            assert apply(sweep[40], np.cos) == apply_each(sweep, np.cos)[40]
+            # the sweep path: the same sums straight from the chunk arrays
+            chunks = lambda: rules._rule_chunks(Family.FEJER2, range(2, 1001), LOG)
+            calls.clear()
+            assert rules._chunk_sums(chunks(), f) == values
+            assert len(calls) == _sweep_chunks(range(2, 1001))
+            assert rules._chunk_sums(chunks(), math.exp) == scalar
 
 
 def _counting_fsum(monkeypatch) -> list:
