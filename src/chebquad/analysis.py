@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence
 import mpmath as mp
 import numpy as np
 
-from .chebcore import Family
+from .chebcore import Family, _sample
 from .errors import NumericalFailure
 from .moments import UNIT_WEIGHT, WeightKind, WeightSpec, min_bar, moments_for
 from .rules import _chunk_sums, _joined, _rounded_sums, _rule_chunks, rules_for
@@ -127,6 +127,9 @@ def powplus(xi: float, s: float) -> TestFunction:
 
 
 def custom(fn: Callable) -> TestFunction:
+    """A smooth integrand fn for the oracle, the studies and the error
+    series.  fn may be vectorized over arrays or scalar-only (such as
+    math.exp): every sampler calls it through chebcore._sample."""
     return TestFunction(TestKind.CUSTOM, fn=fn)
 
 
@@ -208,7 +211,7 @@ def _float_region(weight: WeightSpec, f: TestFunction, region: _Region) -> np.nd
     if weight.kind is WeightKind.LOGJACOBI:  # ln((1+x)/2), near x = 1 as log1p(-(1-x)/2)
         w = w * (np.log1p(-one_minus / 2.0) if region.x0 == 1.0 else np.log(one_plus / 2.0))
     if f.kind is TestKind.CUSTOM:
-        fv = f(region.x0 + region.dx * z)
+        fv = _sample(f.fn, region.x0 + region.dx * z)
     else:
         fv = np.abs((region.x0 - f.c) + region.dx * z) ** f.s
     return np.ravel(wq * w * fv)
@@ -263,7 +266,7 @@ def _de_value(weight: WeightSpec, f: TestFunction) -> tuple[float, float]:
                 w = one_minus ** alpha * one_plus ** beta
                 if weight.kind is WeightKind.LOGJACOBI:
                     w *= mp.log(one_plus / 2)
-                return w * mp.mpf(float(f.fn(float(region.x0 + region.dx * z))))
+                return w * mp.mpf(float(_sample(f.fn, np.float64(region.x0 + region.dx * z))))
 
             value, e = mp.quad(integrand, [0, region.length], error=True)
             total += value

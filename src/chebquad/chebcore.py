@@ -23,17 +23,19 @@ grid, divided by the grid's K in the same loop.  The points, one cos over
 the angles of a chunk of grids, are kept read-only in _grid_store by
 (family, ns), for make_points and every later sweep.  Expansion
 coefficients a_j follow the primed convention (first term halved):
-f = a_0/2 + sum_{j>=1} a_j T_j.
+f = a_0/2 + sum_{j>=1} a_j T_j; cheb_expansion_coeffs takes them from
+the DCT-I kernel of the Clenshaw-Curtis weights.  _sample is the one
+place that evaluates an integrand, vectorized or scalar-only.
 
-The four real transforms (DCT-I, DST-I, DCT-II, DCT-III, unnormalized as
-in scipy.fft) run on numpy.fft.rfft/irfft and follow the algorithms of
-pocketfft, the FFT library inside both numpy.fft and scipy.fft, step for
-step: the same real FFT of the same input, the same pre- and post-passes
-and the same twiddle factors.  So every weight is bit for bit what
-scipy.fft gives, without importing scipy.  DCT-II and DCT-III keep their
-twiddle tables in _Store, the package's one bounded least-recently-used
-store, which also keeps the grids and the rules module's Gauss-Legendre
-rules and weighted sweep chunks.
+The three real transforms (DCT-I, DST-I, DCT-III, unnormalized as in
+scipy.fft) run on numpy.fft.rfft and follow the algorithms of pocketfft,
+the FFT library inside both numpy.fft and scipy.fft, step for step: the
+same real FFT of the same input, the same pre- and post-passes and the
+same twiddle factors.  So every weight is bit for bit what scipy.fft
+gives, without importing scipy.  The DCT-III, Fejer-1's transform, keeps
+its twiddle tables in _Store, the package's one bounded
+least-recently-used store, which also keeps the grids and the rules
+module's Gauss-Legendre rules and weighted sweep chunks.
 """
 
 import collections
@@ -248,8 +250,8 @@ def _twiddles(ns: list) -> dict:
     return {n: _build_twiddle(n) for n in ns}
 
 
-# _build_twiddle(n) by n, bounded in floats.  One n = 100..1000 sweep needs
-# 495 550 twiddle floats, 4 MB.
+# _build_twiddle(n) by n, for Fejer-1's DCT-III, bounded in floats.  One
+# n = 100..1000 sweep needs 495 550 twiddle floats, 4 MB.
 _twiddle = _Store(1 << 19)
 # _grids(family, ns) by (family, tuple(ns)), bounded in points.  One
 # n = 100..1000 family sweep has 495 550 points, 4 MB.
@@ -269,39 +271,6 @@ def _dst1(c: np.ndarray) -> np.ndarray:
     t[1:n + 1] = c
     np.negative(c[::-1], out=t[n + 2:])
     return -np.fft.rfft(t).imag[1:n + 1]
-
-
-def _dct2(c: np.ndarray) -> np.ndarray:
-    """scipy.fft.dct(c, type=2): pocketfft's type-2 pass, the type-3 one reversed.
-
-    c_0 (and an even n's c_{n-1}) doubled and each pair (c_k, c_k+1), k
-    odd, turned into (c_k + c_k+1, c_k+1 - c_k) give the halfcomplex
-    input of an inverse real FFT; then for k = 1..(n+1)/2-1 and kc = n-k,
-    (c_k, c_kc) become ((t1 + t2)/2, (t1 - t2)/2) with
-    t1 = tw_{k-1} c_kc + tw_{kc-1} c_k and t2 = tw_{k-1} c_k - tw_{kc-1} c_kc,
-    and an even n's middle term is scaled by tw_{n/2-1}.
-    """
-    n = len(c)
-    tw = _twiddle.get([n], _twiddles)[0]
-    h = (n + 1) // 2
-    z = np.zeros(n // 2 + 1, dtype=complex)
-    hc = z.view(float)  # [R_0, 0, R_1, I_1, ...]
-    hc[0] = 2.0 * c[0]
-    re, im = c[1:n - 1:2], c[2:n:2]
-    np.add(re, im, out=hc[2:n:2])
-    np.subtract(im, re, out=hc[3:n + 1:2])
-    if n % 2 == 0:
-        hc[n] = 2.0 * c[n - 1]
-    y = np.fft.irfft(z, n, norm="forward")  # unscaled
-    a, b = y[1:h], y[n - 1:n - h:-1]
-    ta, tb = tw[:h - 1], tw[n - 2:n - h - 1:-1]
-    t1 = ta * b + tb * a
-    t2 = ta * a - tb * b
-    a[...] = 0.5 * (t1 + t2)
-    b[...] = 0.5 * (t1 - t2)
-    if n % 2 == 0:
-        y[h] *= tw[h - 1]
-    return y
 
 
 def _dct3(c: np.ndarray, tw: np.ndarray) -> np.ndarray:
@@ -383,21 +352,38 @@ def interp_rules(family: Family, ns, m) -> tuple[np.ndarray, np.ndarray, np.ndar
     return points, w, bounds
 
 
+def _sample(f, x: np.ndarray) -> np.ndarray:
+    """f at the points x, as floats of x's shape: one call over x (so f
+    must act elementwise), or one call per point if f is scalar-only.
+    Non-finite values raise ValueError."""
+    try:
+        fv = np.asarray(f(x), dtype=float)
+        if fv.shape != x.shape:
+            raise TypeError
+    except (TypeError, ValueError):
+        fv = np.array([float(f(p)) for p in x.ravel()]).reshape(x.shape)
+    if not np.all(np.isfinite(fv)):
+        raise ValueError("integrand returned a non-finite value at a sample point")
+    return fv
+
+
 def cheb_expansion_coeffs(f, count: int, oversample: int) -> np.ndarray:
     """Leading Chebyshev expansion coefficients a_0..a_{count-1} of f.
 
     Approximates a_j = (2/pi) * integral of f(x) T_j(x) / sqrt(1-x^2)
-    by an `oversample`-point Gauss-Chebyshev discretization (a DCT of f
-    at Fejer-1 points).  Coefficients are primed-convention: the series
-    reads f = a_0/2 + sum_{j>=1} a_j T_j.  Accuracy is limited by the
-    aliasing of coefficients beyond `oversample`.  Non-finite f values raise.
+    by an `oversample`-point Gauss-Chebyshev discretization: the DCT-II of
+    f at the N = `oversample` Fejer-1 points, taken as the DCT-I of the
+    2N + 1 Clenshaw-Curtis points of 2N intervals, whose odd-indexed ones
+    they are, with f's values there and zeros at the even-indexed ones.
+    Coefficients are primed-convention: the series reads
+    f = a_0/2 + sum_{j>=1} a_j T_j.  Accuracy is limited by the aliasing
+    of coefficients beyond `oversample`.  ``f`` may be vectorized over
+    arrays or scalar-only; non-finite f values raise.
     """
     if count < 1:
         raise ValueError("count must be positive")
     if oversample < 4 * count:
         raise ValueError(f"oversample must be >= 4*count = {4 * count}, got {oversample}")
-    fv = np.asarray(f(make_points(Family.FEJER1, oversample)), dtype=float)
-    if not np.all(np.isfinite(fv)):
-        raise ValueError("f returned a non-finite value at a sample point")
-    a = _dct2(fv) / oversample
-    return a[:count].copy()
+    u = np.zeros(2 * oversample + 1)
+    u[1::2] = _sample(f, make_points(Family.FEJER1, oversample))
+    return _dct1(u)[:count] / oversample

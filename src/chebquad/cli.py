@@ -330,21 +330,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         comments, header, rows, failed = _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"quad: error: {exc}", file=sys.stderr)
-        return 1
+        text = _render(args.format, comments, header, rows)
+        if args.out:  # an unwritable path is reported like a usage error
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
     except NumericalFailure as exc:
         print(f"quad: numerical failure: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"quad: error: {exc}", file=sys.stderr)
         return 1
-    text = _render(args.format, comments, header, rows)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
     return 3 if failed else 0
 
 

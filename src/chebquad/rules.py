@@ -43,7 +43,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .chebcore import Family, _checked_ns, _chunk_grids, _Store, interp_rules
+from .chebcore import Family, _checked_ns, _chunk_grids, _sample, _Store, interp_rules
 from .errors import NumericalFailure
 from .moments import UNIT_WEIGHT, WeightSpec, moments_for
 
@@ -339,20 +339,11 @@ def _rounded_sums(products: np.ndarray, bounds) -> list[float]:
 
 def _chunk_sums(chunks: Iterable[tuple], f) -> list[float]:
     """The sums of f under every rule of each (ns, nodes, weights, bounds)
-    chunk, in order: ``f`` is called once over a chunk's nodes (so it must
-    act elementwise), or node by node if it is scalar-only, and the
-    chunk's sums come from one _rounded_sums call."""
+    chunk, in order: f sampled over a chunk's nodes by chebcore._sample,
+    and the chunk's sums from one _rounded_sums call."""
     sums = []
     for _, nodes, weights, bounds in chunks:
-        try:
-            fv = np.asarray(f(nodes), dtype=float)
-            if fv.shape != nodes.shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            fv = np.array([float(f(x)) for x in nodes])
-        if not np.all(np.isfinite(fv)):
-            raise ValueError("integrand returned a non-finite value at a quadrature node")
-        sums += _rounded_sums(weights * fv, bounds)
+        sums += _rounded_sums(weights * _sample(f, nodes), bounds)
     return sums
 
 
@@ -366,8 +357,9 @@ def apply(rule: QuadratureRule, f) -> float:
     """Apply the rule to a function: sum w_j f(x_j), correctly rounded,
     equal to math.fsum bit for bit.
 
-    ``f`` may be vectorized over arrays or scalar-only; non-finite values
-    at any node raise.
+    ``f`` may be vectorized over arrays or scalar-only, here as in the
+    oracle, the studies and cheb_expansion_coeffs; non-finite values at
+    any node raise.
     """
     return apply_each((rule,), f)[0]
 

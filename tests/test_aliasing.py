@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from chebquad import aliasing
 from chebquad.aliasing import ReducedForm, alias_errors, alias_reduce, error_series_check
-from chebquad.analysis import abspow, oracle_integral
+from chebquad.analysis import abspow, custom, oracle_integral
 from chebquad.chebcore import CHEBYSHEV_FAMILIES, Family, cheb_expansion_coeffs, chebyshev_T
 from chebquad.moments import WeightKind, WeightSpec, moments_for
 from chebquad.rules import apply, rule_for
@@ -330,6 +330,26 @@ def test_series_converges_with_truncation():
     fine = error_series_check(Family.CLENSHAW_CURTIS, 12, f, UNIT, 600)
     assert fine < coarse
     assert fine <= 0.05 * measured
+
+
+@pytest.mark.parametrize("scalar, vectorized, same_bits", [
+    (math.exp, np.exp, False),
+    (lambda x: math.cos(3 * x), lambda x: np.cos(3 * x), False),
+    (lambda x: float(x) * float(x), lambda x: x * x, True),
+], ids=["exp", "cos3x", "square"])
+def test_scalar_only_integrands_match_their_vectorized_twins(scalar, vectorized, same_bits):
+    # a scalar-only callable raised TypeError in all three
+    def values(f):
+        return np.array([oracle_integral(UNIT, custom(f))[0],
+                         error_series_check(Family.CLENSHAW_CURTIS, 9, f, JAC, 40),
+                         *cheb_expansion_coeffs(f, 8, 64)])
+
+    ours, twin = values(scalar), values(vectorized)
+    if same_bits:
+        assert list(map(_bits, ours)) == list(map(_bits, twin))
+    roundoff = 4 * np.spacing(abs(twin[0]))  # the residual is a difference of such values
+    assert abs(ours[0] - twin[0]) <= roundoff and abs(ours[1] - twin[1]) <= roundoff
+    assert np.allclose(ours[2:], twin[2:], rtol=0, atol=4 * np.spacing(abs(twin[2])))
 
 
 def test_series_check_validation():

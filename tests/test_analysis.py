@@ -139,6 +139,12 @@ def test_oracle_refuses_a_nan_panel_value(monkeypatch):
         oracle_integral(CHEB, abspow(0.5, 0.6))
 
 
+def test_oracle_rejects_a_non_finite_custom_integrand():
+    # raised NumericalFailure ("... nan vs graded-panel nan") from the comparison
+    with pytest.raises(ValueError, match="non-finite"):
+        oracle_integral(UNIT, custom(lambda x: np.where(x > 0.5, np.nan, x)))
+
+
 def test_test_function_validation():
     with pytest.raises(ValueError):
         abspow(1.5, 0.6)  # kink outside the open interval

@@ -15,8 +15,8 @@ from chebquad import WeightKind, WeightSpec, moments_for, rule_for
 from chebquad.chebcore import (
     CHEBYSHEV_FAMILIES,
     Family,
+    _PI_LONG,
     _dct1,
-    _dct2,
     _dct3,
     _dst1,
     _fejer2_moment_fold,
@@ -122,8 +122,8 @@ _TRANSFORM_SIZES = [*range(1, 2049), 4096, 4097, 10007]
 
 @pytest.mark.parametrize("ours, kind, reference", [
     (_dct1, 1, scipy.fft.dct), (_dst1, 1, scipy.fft.dst),
-    (_dct2, 2, scipy.fft.dct), (lambda c: _dct3(c, _build_twiddle(len(c))), 3, scipy.fft.dct),
-], ids=["dct1", "dst1", "dct2", "dct3"])
+    (lambda c: _dct3(c, _build_twiddle(len(c))), 3, scipy.fft.dct),
+], ids=["dct1", "dst1", "dct3"])
 def test_transforms_equal_scipy_fft_bit_for_bit(ours, kind, reference):
     rng = np.random.default_rng(2013)
     moments = moments_for(WeightSpec(WeightKind.LOGJACOBI, -0.6, -0.5), 2047).values
@@ -337,6 +337,22 @@ def test_expansion_coeffs_of_exponential():
     a = cheb_expansion_coeffs(np.exp, count=12, oversample=64)
     expected = 2.0 * scipy.special.iv(np.arange(12), 1.0)
     assert np.allclose(a, expected, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [4, 5, 64, 1024, 4096])
+def test_expansion_coeffs_are_the_exact_dct2_of_the_samples(n):
+    # a_j = y_j / n with y = scipy.fft.dct(f(x), type=2): an O(n^2) sum in
+    # long double, each angle j(2k+1) pi/2n reduced mod 2 pi in integers,
+    # is the reference; the error is at most a unit roundoff of ||y||_2,
+    # which is sqrt(2n ||f||^2 + 2 (sum f)^2) by Parseval
+    samples = np.random.default_rng(n).standard_normal(n)
+    a = cheb_expansion_coeffs(lambda x: samples, n // 4, n)
+    k = np.arange(n)
+    exact = np.array([2 * np.sum(samples * np.cos(
+        _PI_LONG * ((j * (2 * k + 1)) % (4 * n)) / (2 * n))) for j in range(n // 4)])
+    norm = math.sqrt(2 * n * np.sum(samples * samples) + 2 * np.sum(samples) ** 2)
+    error = np.max(np.abs(a * n - exact.astype(float)))
+    assert error <= 2.0 ** -52 * norm, error
 
 
 def test_expansion_coeffs_decay_for_kink_function():

@@ -188,6 +188,15 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert target.read_text(encoding="utf-8") == inline
 
 
+def test_out_flag_unwritable_path_is_a_usage_error(tmp_path, capsys):
+    # a missing directory and a directory as the target raised a traceback
+    for target in (tmp_path / "missing" / "x.csv", tmp_path):
+        code, out, err = run(capsys, "nodes", "--family", "cc", "--n", "3", "--out", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith("quad: error: ") and err.endswith(f"{str(target)!r}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_table_format(capsys):
     code, out, _ = run(capsys, "weights", "--family", "f1", "--weight",
                        "jacobi:0:0", "--n", "3", "--format", "table")
