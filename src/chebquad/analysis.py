@@ -101,7 +101,7 @@ class TestFunction:
             return np.abs(x - self.c) ** self.s
         if self.kind is TestKind.POW_PLUS:
             return np.maximum(x - self.c, 0.0) ** self.s
-        return self.fn(x)
+        return _sample(self.fn, x)[()]  # a scalar for a scalar x
 
     def describe(self) -> str:
         c, s = _number_tag(self.c), _number_tag(self.s)
@@ -127,9 +127,9 @@ def powplus(xi: float, s: float) -> TestFunction:
 
 
 def custom(fn: Callable) -> TestFunction:
-    """A smooth integrand fn for the oracle, the studies and the error
-    series.  fn may be vectorized over arrays or scalar-only (such as
-    math.exp): every sampler calls it through chebcore._sample."""
+    """A smooth integrand fn for the oracle, the studies and the error series.
+    fn may be vectorized or scalar-only (such as math.exp): every sampler and a
+    direct call sample it through chebcore._sample, so non-finite values raise."""
     return TestFunction(TestKind.CUSTOM, fn=fn)
 
 

@@ -19,10 +19,12 @@ with b_j the coefficients (plain sum, q = sum b_j T_j) of the polynomial
 interpolating f on the grid and m_j the modified moments.  interp_rules
 gives the x_i and w_i of many grids from one moment vector: w is the
 transpose of the coefficient transform applied to m, one DCT/DST per
-grid, divided by the grid's K in the same loop.  The points, one cos over
-the angles of a chunk of grids, are kept read-only in _grid_store by
-(family, ns), for make_points and every later sweep.  Expansion
-coefficients a_j follow the primed convention (first term halved):
+grid, divided by the grid's K in the same loop.  _grid_store keeps each
+chunk of grids by (family, ns), read-only, for make_points and every
+later sweep: the points, one cos over the chunk's angles, and the
+transform's input at each point, computed once with them (Fejer-1's
+DCT-III twiddles, Fejer-2's sin(theta)).  Expansion coefficients a_j
+follow the primed convention (first term halved):
 f = a_0/2 + sum_{j>=1} a_j T_j; cheb_expansion_coeffs takes them from
 the DCT-I kernel of the Clenshaw-Curtis weights.  _sample is the one
 place that evaluates an integrand, vectorized or scalar-only.
@@ -32,9 +34,8 @@ scipy.fft) run on numpy.fft.rfft and follow the algorithms of pocketfft,
 the FFT library inside both numpy.fft and scipy.fft, step for step: the
 same real FFT of the same input, the same pre- and post-passes and the
 same twiddle factors.  So every weight is bit for bit what scipy.fft
-gives, without importing scipy.  The DCT-III, Fejer-1's transform, keeps
-its twiddle tables in _Store, the package's one bounded
-least-recently-used store, which also keeps the grids and the rules
+gives, without importing scipy.  _grid_store is a _Store, the package's
+one bounded least-recently-used store, which also keeps the rules
 module's Gauss-Legendre rules and weighted sweep chunks.
 """
 
@@ -105,43 +106,43 @@ def _checked_ns(family: Family, ns) -> tuple[Family, list[int], list[int]]:
     return family, ns, [a * n + b for n in ns]
 
 
-def _angles(family: Family, ns) -> np.ndarray:
-    """The angles theta = (j + offset) pi / K, j = 0..n-1, of the grids of
-    the checked ns of a Chebyshev family, concatenated."""
+def _grids(family: Family, ns) -> tuple[np.ndarray, np.ndarray]:
+    """The points cos(theta) of the grids of the checked ns of a Chebyshev
+    family, concatenated, and the input of its transform at each point,
+    computed with them: Fejer-1's _build_twiddle(n) per grid, Fejer-2's
+    sin(theta), none for Clenshaw-Curtis.  Both read-only."""
     a, b = _HALF_PERIOD[family]
     half = np.repeat(np.asarray([a * n + b for n in ns], dtype=float), ns)
     j = np.arange(len(half)) - np.repeat(np.cumsum([0, *ns])[:-1], ns)  # 0..n-1 in each grid
-    offset = (b + 1) / 2  # (K - n + 1) / 2: symmetric about pi/2
-    return (j + offset) * np.pi / half
-
-
-def _grids(family: Family, ns) -> np.ndarray:
-    """The points cos(theta) of the grids of the checked ns of a Chebyshev
-    family, concatenated, read-only."""
-    points = np.cos(_angles(family, ns))
-    if family is Family.CLENSHAW_CURTIS:  # pin the ends, and odd n's midpoint, exactly
-        bounds = np.cumsum([0, *ns])
+    theta = (j + (b + 1) / 2) * np.pi / half  # offset (K - n + 1) / 2: symmetric about pi/2
+    points = np.cos(theta)
+    if family is Family.FEJER1:
+        inputs = np.concatenate([theta[:0], *map(_build_twiddle, ns)])
+    elif family is Family.FEJER2:
+        inputs = np.sin(theta)
+    else:  # pin the ends, and odd n's midpoint, exactly
+        inputs, bounds = theta[:0], np.cumsum([0, *ns])
         first, last = bounds[:-1], bounds[1:] - 1
         points[first], points[last] = 1.0, -1.0
         points[((first + last) // 2)[(last - first) % 2 == 0]] = 0.0
     points.setflags(write=False)
-    return points
+    inputs.setflags(write=False)
+    return points, inputs
 
 
 def _chunk_grids(family: Family, ns) -> tuple:
-    """The family, checked ns, their K, their grids' points (_grid_store) and bounds."""
+    """The family, checked ns, their K, their (points, inputs) from _grid_store and bounds."""
     family, ns, ks = _checked_ns(family, ns)
     if family not in CHEBYSHEV_FAMILIES:
         raise ValueError(f"Chebyshev point sets only, got {family}")
-    [points] = _grid_store.get([(family, tuple(ns))],
-                               lambda keys: {key: _grids(*key) for key in keys})
-    return family, ns, ks, points, np.cumsum([0, *ns])  # grid i at [bounds[i], bounds[i+1])
+    [grid] = _grid_store.get([(family, tuple(ns))], lambda keys: {k: _grids(*k) for k in keys})
+    return family, ns, ks, grid, np.cumsum([0, *ns])  # grid i at [bounds[i], bounds[i+1])
 
 
 def make_points(family: Family, n: int) -> np.ndarray:
     """The n points of a Chebyshev family, read-only, in decreasing order, as
     interp_rules places them (n >= 1; Clenshaw-Curtis needs n >= 2)."""
-    return _chunk_grids(family, (n,))[3]
+    return _chunk_grids(family, (n,))[3][0]
 
 
 def _fejer2_moment_fold(m: np.ndarray) -> np.ndarray:
@@ -189,9 +190,7 @@ def _build_twiddle(n: int) -> np.ndarray:
     re, im = np.array(re), np.array(im)
     # root x = v1[x % size] * v2[x // size]; the real part of the product
     table = np.multiply.outer(re[low:], re[:low]) - np.multiply.outer(im[low:], im[:low])
-    tw = table.ravel()[1:n + 1].copy()
-    tw.setflags(write=False)
-    return tw
+    return table.ravel()[1:n + 1]
 
 
 _CacheInfo = collections.namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -246,16 +245,9 @@ class _Store:
             self._total = self._hits = self._misses = 0
 
 
-def _twiddles(ns: list) -> dict:
-    return {n: _build_twiddle(n) for n in ns}
-
-
-# _build_twiddle(n) by n, for Fejer-1's DCT-III, bounded in floats.  One
-# n = 100..1000 sweep needs 495 550 twiddle floats, 4 MB.
-_twiddle = _Store(1 << 19)
-# _grids(family, ns) by (family, tuple(ns)), bounded in points.  One
-# n = 100..1000 family sweep has 495 550 points, 4 MB.
-_grid_store = _Store(1 << 19)
+# _grids(family, ns) by (family, tuple(ns)), bounded in points.  One n = 100..1000
+# family sweep has 495 550 points, 4 MB, and as many twiddles or sines, 4 MB more.
+_grid_store = _Store(1 << 19, lambda grid: len(grid[0]))
 
 
 def _dct1(c: np.ndarray) -> np.ndarray:
@@ -301,8 +293,9 @@ def _dct3(c: np.ndarray, tw: np.ndarray) -> np.ndarray:
     return y
 
 
-# The one-grid transform of each family's moments (the Fejer-2 ones folded first)
-_TRANSFORMS = {Family.FEJER1: _dct3, Family.FEJER2: _dst1, Family.CLENSHAW_CURTIS: _dct1}
+# Each family's one-grid transform of its moments (Fejer-2's folded) and grid inputs
+_TRANSFORMS = {Family.FEJER1: _dct3, Family.FEJER2: lambda c, sines: _dst1(c) * sines,
+               Family.CLENSHAW_CURTIS: lambda c, _: _dct1(c)}
 
 
 def interp_rules(family: Family, ns, m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -321,30 +314,24 @@ def interp_rules(family: Family, ns, m) -> tuple[np.ndarray, np.ndarray, np.ndar
         make_points(family, n) and its weights to those of
         interp_rules(family, [n], m[:n]) bit for bit.  The weights w give
         sum_i w_i f(x_i) = sum_j b_j(f) m_j for every f, b_j(f) being the
-        coefficients of the polynomial interpolating f at the points: a
-        DCT-III of m (Fejer-1), a DCT-I (Clenshaw-Curtis), or a DST-I of
-        the U-basis moments times sin(theta) (Fejer-2).
+        coefficients of the polynomial interpolating f at the points, per grid a
+        DCT-III of m (Fejer-1), a DCT-I (Clenshaw-Curtis) or a DST-I of the U-basis
+        moments times sin(theta) (Fejer-2); _grid_store keeps the twiddles and sines.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 1:
         raise ValueError("moments must be a 1-D array")
-    family, ns, ks, points, bounds = _chunk_grids(family, ns)
+    family, ns, ks, (points, inputs), bounds = _chunk_grids(family, ns)
     top = max(ns, default=0)
     if len(m) < top:
         raise ValueError(f"{top}-point rules need {top} moments, got {len(m)}")
     if not np.all(np.isfinite(m[:top])):
         raise ValueError("moments must be finite")
-    transform, sines = _TRANSFORMS[family], None
-    args = ([(tw,) for tw in _twiddle.get(ns, _twiddles)] if family is Family.FEJER1
-            else [()] * len(ns))  # Fejer-1's twiddles, in one lookup for the chunk
     if family is Family.FEJER2:
-        m, sines = _fejer2_moment_fold(m[:top]), np.sin(_angles(family, ns))
+        m = _fejer2_moment_fold(m[:top])
     w = np.empty(bounds[-1])
-    for n, k, a, b, extra in zip(ns, ks, bounds.tolist(), bounds[1:].tolist(), args):
-        t = transform(m[:n], *extra)
-        if sines is not None:
-            t *= sines[a:b]
-        np.divide(t, k, out=w[a:b])
+    for n, k, a, b in zip(ns, ks, bounds.tolist(), bounds[1:].tolist()):
+        np.divide(_TRANSFORMS[family](m[:n], inputs[a:b]), k, out=w[a:b])
     if family is Family.CLENSHAW_CURTIS:
         w[bounds[:-1]] *= 0.5
         w[bounds[1:] - 1] *= 0.5
@@ -352,18 +339,23 @@ def interp_rules(family: Family, ns, m) -> tuple[np.ndarray, np.ndarray, np.ndar
     return points, w, bounds
 
 
+class _NonFinite(ValueError):
+    """A non-finite integrand value: _sample raises it and never retries on it."""
+
+
 def _sample(f, x: np.ndarray) -> np.ndarray:
-    """f at the points x, as floats of x's shape: one call over x (so f
-    must act elementwise), or one call per point if f is scalar-only.
-    Non-finite values raise ValueError."""
+    """f at the points x, as floats of x's shape: one call over x (f acting
+    elementwise) or one per point (f scalar-only); non-finite values raise ValueError."""
     try:
         fv = np.asarray(f(x), dtype=float)
         if fv.shape != x.shape:
             raise TypeError
+    except _NonFinite:  # from a custom test function, which samples its fn here too
+        raise
     except (TypeError, ValueError):
         fv = np.array([float(f(p)) for p in x.ravel()]).reshape(x.shape)
     if not np.all(np.isfinite(fv)):
-        raise ValueError("integrand returned a non-finite value at a sample point")
+        raise _NonFinite("integrand returned a non-finite value at a sample point")
     return fv
 
 

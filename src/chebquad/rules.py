@@ -233,7 +233,7 @@ def _weighted_chunks(family: Family, ns: list[int], weight: WeightSpec) -> Itera
         [weights] = _weighted_rule_cached.get(
             [(family, weight, top, tuple(chunk))],
             lambda keys: {keys[0]: interp_rules(family, chunk, moments)[1]})
-        _, _, _, nodes, bounds = _chunk_grids(family, chunk)
+        _, _, _, (nodes, _), bounds = _chunk_grids(family, chunk)
         yield chunk, nodes, weights, bounds
 
 

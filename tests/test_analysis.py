@@ -145,6 +145,33 @@ def test_oracle_rejects_a_non_finite_custom_integrand():
         oracle_integral(UNIT, custom(lambda x: np.where(x > 0.5, np.nan, x)))
 
 
+def test_calling_a_scalar_only_custom_function_samples_it_per_point():
+    f = custom(math.exp)
+    x = np.array([-0.7, 0.1, 0.2, 1.0])
+    got = f(x)
+    assert got.shape == x.shape
+    assert got.tolist() == [math.exp(p) for p in x.tolist()]
+    one = f(0.1)
+    assert np.ndim(one) == 0 and one == math.exp(0.1)
+    assert np.array_equal(custom(np.exp)(x), np.exp(x))
+    assert custom(np.exp)(0.1) == np.exp(0.1)
+    with pytest.raises(ValueError, match="non-finite"):
+        custom(lambda t: math.log(t) if t else math.inf)(np.array([0.5, 0.0]))
+
+
+def test_a_non_finite_custom_value_is_not_retried_point_by_point():
+    rule = rules.rule_for(Family.FEJER1, 1000, UNIT)
+    calls = []
+
+    def f(x):
+        calls.append(np.shape(x))
+        return np.full(len(x), np.nan)  # takes arrays only
+
+    with pytest.raises(ValueError, match="non-finite"):
+        rules.apply(rule, custom(f))
+    assert calls == [(1000,)]
+
+
 def test_test_function_validation():
     with pytest.raises(ValueError):
         abspow(1.5, 0.6)  # kink outside the open interval

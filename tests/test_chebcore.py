@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as npcheb
 
 import oracles
-from chebquad import WeightKind, WeightSpec, moments_for, rule_for
+from chebquad import WeightKind, WeightSpec, chebcore, moments_for, rule_for
 from chebquad.chebcore import (
     CHEBYSHEV_FAMILIES,
     Family,
@@ -22,7 +22,6 @@ from chebquad.chebcore import (
     _fejer2_moment_fold,
     _build_twiddle,
     _Store,
-    _twiddles,
     cheb_expansion_coeffs,
     chebyshev_T,
     interp_rules,
@@ -141,6 +140,14 @@ def test_transforms_equal_scipy_fft_bit_for_bit(ours, kind, reference):
             assert np.array_equal(_bits(c), _bits(before)), n  # the input is left alone
 
 
+def _twiddles(ns: list) -> dict:
+    """_build_twiddle(n) by n, read-only: a _Store builder."""
+    tables = {n: _build_twiddle(n) for n in ns}
+    for tw in tables.values():
+        tw.setflags(write=False)
+    return tables
+
+
 def test_twiddle_store_is_bounded_in_floats():
     store = _Store(max_size=100)
     first = store.get([40], _twiddles)[0]
@@ -172,6 +179,38 @@ def test_twiddle_store_keeps_its_count_under_threads():
     info = store.cache_info()
     assert info.hits + info.misses == len(ns)
     assert info.currsize == sum(map(len, store._values.values())) <= 2000
+
+
+@pytest.mark.parametrize("family", CHEBYSHEV_FAMILIES)
+def test_grid_store_keeps_each_grids_transform_inputs(family, monkeypatch):
+    # one chunk of both parities, a repeat and the smallest n
+    ns = [1, 2, 3, 10, 11, 64, 65, 300, 2][family is Family.CLENSHAW_CURTIS:]
+    rng = np.random.default_rng(27)
+    first = interp_rules(family, ns, rng.standard_normal(300))
+    points, inputs = chebcore._chunk_grids(family, ns)[3]
+    assert points is first[0]
+    assert not (points.flags.writeable or inputs.flags.writeable)
+    with pytest.raises(ValueError):
+        inputs[:1] = 0.5
+    for n, a, b in zip(ns, first[2], first[2][1:]):
+        if family is Family.FEJER1:
+            assert np.array_equal(_bits(inputs[a:b]), _bits(_build_twiddle(n))), n
+        elif family is Family.FEJER2:
+            expected = np.sin(oracles._grid_angles(family, n))
+            assert np.array_equal(_bits(inputs[a:b]), _bits(expected)), n
+    if family is Family.CLENSHAW_CURTIS:
+        assert len(inputs) == 0  # its DCT-I takes none
+    # other moments over the same chunk: no grid and no twiddle is computed again
+    calls = []
+    monkeypatch.setattr(chebcore, "_grids", lambda *args: calls.append(("grids", args)))
+    monkeypatch.setattr(chebcore, "_build_twiddle", lambda n: calls.append(("twiddle", n)))
+    m = rng.standard_normal(300) * np.exp(rng.uniform(-30.0, 30.0, 300))
+    again, weights, bounds = interp_rules(family, ns, m)
+    assert calls == [] and again is points
+    for n, a, b in zip(ns, bounds, bounds[1:]):
+        nodes, w = oracles.weighted_rule_per_n(family, n, m[:n])
+        assert np.array_equal(_bits(again[a:b]), _bits(nodes)), n
+        assert np.array_equal(_bits(weights[a:b]), _bits(w)), n
 
 
 # --- polynomial evaluation -------------------------------------------------

@@ -408,7 +408,7 @@ def test_weighted_sweep_is_bit_identical_to_one_rule_builds(family, weight):
 @settings(max_examples=30, deadline=None)
 def test_weighted_sweep_takes_unsorted_and_repeated_ns(ns, family, weight):
     # a grid store of 2^12 points drops most chunks' grids between sweeps
-    with mock.patch.object(chebcore, "_grid_store", _Store(1 << 12)):
+    with mock.patch.object(chebcore, "_grid_store", _Store(1 << 12, lambda grid: len(grid[0]))):
         built = list(rules_for(family, ns, weight))
         assert [r.n for r in built] == ns
         for rule in built:
