@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
+from .analysis import oracle_integral
 from .chebcore import CHEBYSHEV_FAMILIES, Family, _checked_ns, cheb_expansion_coeffs
 from .moments import WeightSpec, _bucket, moments_for
 from .rules import QuadratureRule, _chunk_sums, _joined, _rounded_sums, apply, rule_for
@@ -215,9 +216,7 @@ def error_series_check(
         raise ValueError(
             f"truncation {truncation} is below the series start {start}"
         )
-    from . import analysis  # deferred: analysis builds on this module's siblings
-
-    reference, _ = analysis.oracle_integral(weight, f)
+    reference, _ = oracle_integral(weight, f)
     measured = reference - apply(rule, f)
 
     count = truncation + 1

@@ -5,9 +5,10 @@ row and one data row per n / k / m, as CSV (default) or an aligned
 table.  Floats are printed with 17 significant digits so identical
 invocations produce byte-identical output.
 
-Exit codes: 0 success; 1 usage or precondition error; 2 numerical
-failure (oracle disagreement, non-convergence); 3 a convergence study
-ran cleanly but its fitted slope missed the theoretical rate.
+Exit codes: 0 success; 1 usage or precondition error, or a request too
+large for memory; 2 numerical failure (oracle disagreement,
+non-convergence); 3 a convergence study ran cleanly but its fitted
+slope missed the theoretical rate.
 """
 
 from __future__ import annotations
@@ -31,23 +32,15 @@ from .analysis import (
 )
 from .chebcore import Family
 from .errors import NumericalFailure
-from .moments import UNIT_WEIGHT, WeightKind, WeightSpec, moments_for
+from .moments import UNIT_WEIGHT, WeightSpec, moments_for
 from .rules import apply as apply_rule
 from .rules import rule_for
 
 __all__ = ["main"]
 
-_FAMILIES = {
-    "fejer1": Family.FEJER1,
-    "f1": Family.FEJER1,
-    "fejer2": Family.FEJER2,
-    "f2": Family.FEJER2,
-    "cc": Family.CLENSHAW_CURTIS,
-    "clenshaw-curtis": Family.CLENSHAW_CURTIS,
-    "gauss": Family.GAUSS_LEGENDRE,
-    "gl": Family.GAUSS_LEGENDRE,
-    "gauss-legendre": Family.GAUSS_LEGENDRE,
-}
+# the short names; a full name is the Family value itself
+_FAMILIES = {"f1": Family.FEJER1, "f2": Family.FEJER2, "cc": Family.CLENSHAW_CURTIS,
+             "gauss": Family.GAUSS_LEGENDRE, "gl": Family.GAUSS_LEGENDRE}
 
 
 class _UsageError(Exception):
@@ -69,33 +62,33 @@ def _fmt(value) -> str:
 
 def _parse_family(text: str) -> Family:
     try:
-        return _FAMILIES[text.lower()]
-    except KeyError:
+        return Family(_FAMILIES.get(text.lower(), text.lower()))
+    except ValueError:
         raise _UsageError(
             f"unknown family {text!r} (use fejer1, fejer2, cc or gauss)"
         ) from None
 
 
-def _parse_weight(text: str) -> WeightSpec:
+def _parse_spec(text: str, what: str, grammar: str, kinds) -> tuple[str, float, float]:
+    """KIND:A:B with KIND one of kinds, as used by --weight and --f."""
     parts = text.split(":")
-    if len(parts) != 3 or parts[0] not in ("jacobi", "logjacobi"):
-        raise _UsageError(f"weight grammar is jacobi:A:B or logjacobi:A:B, got {text!r}")
+    if len(parts) != 3 or parts[0] not in kinds:
+        raise _UsageError(f"{what} grammar is {grammar}, got {text!r}")
     try:
-        alpha, beta = float(parts[1]), float(parts[2])
+        return parts[0], float(parts[1]), float(parts[2])
     except ValueError:
-        raise _UsageError(f"non-numeric weight parameters in {text!r}") from None
-    return WeightSpec(WeightKind(parts[0]), alpha, beta)
+        raise _UsageError(f"non-numeric {what} parameters in {text!r}") from None
+
+
+def _parse_weight(text: str) -> WeightSpec:
+    return WeightSpec(*_parse_spec(text, "weight", "jacobi:A:B or logjacobi:A:B",
+                                   ("jacobi", "logjacobi")))
 
 
 def _parse_function(text: str):
-    parts = text.split(":")
-    if len(parts) != 3 or parts[0] not in ("abspow", "powplus"):
-        raise _UsageError(f"function grammar is abspow:C:S or powplus:XI:S, got {text!r}")
-    try:
-        location, s = float(parts[1]), float(parts[2])
-    except ValueError:
-        raise _UsageError(f"non-numeric function parameters in {text!r}") from None
-    return abspow(location, s) if parts[0] == "abspow" else powplus(location, s)
+    kind, location, s = _parse_spec(text, "function", "abspow:C:S or powplus:XI:S",
+                                    ("abspow", "powplus"))
+    return abspow(location, s) if kind == "abspow" else powplus(location, s)
 
 
 def _parse_nrange(text: str) -> tuple[int, ...]:
@@ -341,6 +334,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except (_UsageError, ValueError, OSError) as exc:
         print(f"quad: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a bare MemoryError has no message
+        print(f"quad: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     return 3 if failed else 0
 

@@ -97,16 +97,12 @@ class MomentTable:
     est_rel_error: float = 0.0
 
 
-def _near_half_odd_integer(x: float) -> bool:
-    """True when x lies within the margin of some element of {-1/2, 1/2, 3/2, ...}."""
-    nearest = round(x + 0.5) - 0.5
-    return nearest >= -0.5 - 1e-12 and abs(x - nearest) <= HALF_INTEGER_MARGIN
-
-
 def _forward_unstable(alpha: float, beta: float) -> bool:
-    return (alpha > beta and _near_half_odd_integer(beta)) or (
-        beta > alpha and _near_half_odd_integer(alpha)
-    )
+    """True when alpha != beta and the smaller is within the margin of {-1/2, 1/2, 3/2, ...}."""
+    smaller = min(alpha, beta)
+    nearest = round(smaller + 0.5) - 0.5
+    near = nearest >= -0.5 - 1e-12 and abs(smaller - nearest) <= HALF_INTEGER_MARGIN
+    return alpha != beta and near
 
 
 def min_bar(alpha: float, beta: float) -> float:

@@ -20,9 +20,10 @@ The 373 commands:
 
 * every `quad` line of README.md (13), the `for fam` loop expanded;
 * one command per usage or numerical error message of cli.py (20),
-  except the one for an --out path that cannot be written: the set
-  writes every --out into a temporary directory, so
-  tests/test_cli.py checks that message instead;
+  except two that tests/test_cli.py checks instead: the one for an
+  --out path that cannot be written (the set writes every --out into a
+  temporary directory) and the one for a request too large for memory
+  (it needs a child process under an address-space limit);
 * `alias-table` on every family, n in {1, 2, 3, 5, 8, 17, 64, 200}, for
   four weights (Gauss-Legendre takes the unit weight only, and
   Clenshaw-Curtis starts at n = 2) (100);

@@ -7,15 +7,17 @@ import pytest
 
 import chebquad
 import chebquad.cli as cli
+from chebquad import Family
 from chebquad.errors import NumericalFailure
 
 
-def run_fresh(*argv):
+def run_fresh(*argv, check=True, **kwargs):
     """Run the interpreter in a new process with the package importable."""
     src = os.path.dirname(os.path.dirname(chebquad.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    return subprocess.run([sys.executable, *argv], capture_output=True, env=env, check=True)
+    return subprocess.run([sys.executable, *argv], capture_output=True, env=env, check=check,
+                          **kwargs)
 
 
 def run(capsys, *argv):
@@ -106,6 +108,50 @@ def test_usage_errors_exit_one(capsys):
         code, out, err = run(capsys, "convergence", "--family", "cc", "--f", "abspow:0.5:0.6",
                              "--n", "10:200", "--tolerance", tolerance)
         assert code == 1 and out == "" and "tolerance" in err
+
+
+@pytest.mark.parametrize("name, family", [
+    ("fejer1", Family.FEJER1), ("f1", Family.FEJER1),
+    ("fejer2", Family.FEJER2), ("f2", Family.FEJER2),
+    ("cc", Family.CLENSHAW_CURTIS), ("clenshaw-curtis", Family.CLENSHAW_CURTIS),
+    ("gauss", Family.GAUSS_LEGENDRE), ("gl", Family.GAUSS_LEGENDRE),
+    ("gauss-legendre", Family.GAUSS_LEGENDRE),
+])
+def test_every_family_name_parses_in_either_case(capsys, name, family):
+    for text in (name, name.upper()):
+        assert cli._parse_family(text) is family
+        code, out, _ = run(capsys, "nodes", "--family", text, "--n", "3")
+        assert code == 0 and out.startswith(f"# family={family.value} n=3 ")
+
+
+@pytest.mark.parametrize("name", ["hexagon", "", "fejer", "clenshaw_curtis", "GAUSS_LEGENDRE",
+                                  "legendre", " cc"])
+def test_unknown_family_names_the_accepted_ones(capsys, name):
+    code, out, err = run(capsys, "nodes", "--family", name, "--n", "3")
+    assert code == 1 and out == ""
+    assert err == f"quad: error: unknown family {name!r} (use fejer1, fejer2, cc or gauss)\n"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs Linux's RLIMIT_AS")
+@pytest.mark.parametrize("argv", [
+    ("convergence", "--family", "cc", "--f", "abspow:0.5:0.6", "--n", "10:100000000000"),
+    ("weight-sums", "--family", "cc", "--n", "2:20:geom100000000000"),
+])
+def test_a_request_too_large_for_memory_is_a_one_line_error(monkeypatch, argv):
+    # each asks for 10^11 n values: under a 3 GiB address space the first ends in
+    # a bare MemoryError, which has no message, and the second in numpy's
+    import resource  # Unix only
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    proc = run_fresh("-m", "chebquad.cli", *argv, check=False,
+                     preexec_fn=limit_address_space, timeout=60)
+    err = proc.stderr.decode()
+    assert proc.returncode == 1 and proc.stdout == b""
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert err.startswith("quad: error: ") and err.strip() != "quad: error:"
 
 
 @pytest.mark.parametrize("family", ["f1", "f2"])

@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -193,6 +193,41 @@ def test_unstable_pairs_use_banded_solver():
     ):
         table = moments_for(WeightSpec(WeightKind(kind), alpha, beta), 40)
         assert table.method == method, (kind, alpha, beta)
+
+
+def _two_branch_forward_unstable(alpha, beta):
+    # the route predicate as two mirrored branches over a one-parameter test
+    def near_half_odd_integer(x):
+        nearest = round(x + 0.5) - 0.5
+        return nearest >= -0.5 - 1e-12 and abs(x - nearest) <= moments.HALF_INTEGER_MARGIN
+
+    return (alpha > beta and near_half_odd_integer(beta)) or (
+        beta > alpha and near_half_odd_integer(alpha)
+    )
+
+
+# within 0.06 of a half-odd line (the margin's edges included), just below -1/2,
+# or anywhere in the weight domain
+route_params = st.one_of(
+    st.builds(lambda line, offset: line + offset, st.sampled_from([-1.5, -0.5, 0.5, 1.5, 2.5]),
+              st.one_of(st.floats(-0.06, 0.06), st.sampled_from([-0.05, 0.05]))),
+    st.just(-0.5 - 1e-12),
+    st.floats(min_value=-0.9999, max_value=700.0),
+)
+
+
+@given(alpha=route_params, beta=route_params, equal=st.booleans())
+@example(alpha=0.5, beta=-0.5 - 1e-12, equal=False)
+@example(alpha=-0.5 - 1e-12, beta=0.5, equal=False)
+@example(alpha=-0.5 - 1e-12, beta=0.0, equal=True)
+@example(alpha=-0.5, beta=0.0, equal=True)
+@settings(max_examples=400, deadline=None)
+def test_forward_unstable_is_the_two_branch_test(alpha, beta, equal):
+    # one test on min(alpha, beta) decides the route exactly as the branch on
+    # the smaller parameter of each ordering did, equal pairs included
+    if equal:
+        beta = alpha
+    assert moments._forward_unstable(alpha, beta) == _two_branch_forward_unstable(alpha, beta)
 
 
 def test_banded_solver_reports_small_residual():
