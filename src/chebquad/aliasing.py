@@ -16,7 +16,6 @@ series terms are the E_n[T_m] that `alias-table` prints.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ import numpy as np
 
 from .analysis import oracle_integral
 from .chebcore import CHEBYSHEV_FAMILIES, Family, _checked_ns, cheb_expansion_coeffs
-from .moments import WeightSpec, _bucket, moments_for
+from .moments import WeightSpec, moments_for
 from .rules import QuadratureRule, _chunk_sums, _joined, _rounded_sums, apply, rule_for
 
 
@@ -152,13 +151,11 @@ def alias_errors(family: Family, n: int, ms: Iterable[int], weight: WeightSpec) 
     T_n / T_{n+1} at the Fejer-2 edge, zero for odd multiples of n on
     Fejer-1, and the leading 2/(1-4r^2) or pi/2 on Gauss-Legendre (the
     exact integral itself, a zero prediction, for GAUSS_EXACT).  Every m is
-    checked before any node sum; the sums all come from one _rule_values
-    call, and each size of moment table (moments._bucket) is fetched once.
+    checked before any node sum, and every sum comes from one _rule_values call.
     """
     rule = rule_for(family, n, weight)
     family, (n,), (half,) = _checked_ns(rule.family, (rule.n,))
     reduced = [(m, *_fold(family, n, half, m)) for m in map(operator.index, ms)]
-    table_of = functools.cache(lambda size: moments_for(weight, size).values)
     edges = (rule.n, rule.n + 1) if rule.family is Family.FEJER2 else ()
     degrees = sorted({m for m, *_ in reduced}.union(edges))
     node_sum = dict(zip(degrees, _rule_values(rule, degrees)))
@@ -167,7 +164,7 @@ def alias_errors(family: Family, n: int, ms: Iterable[int], weight: WeightSpec) 
         if rule.family is Family.GAUSS_LEGENDRE:
             exact, leading = _legendre_exact(m), 0.0
         else:
-            table = table_of(_bucket(m))
+            table = moments_for(weight, m).values
             exact, leading = table[m], abs(table[j])
         if form is ReducedForm.GAUSS_EXACT:
             value = exact

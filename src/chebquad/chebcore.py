@@ -21,7 +21,7 @@ gives the x_i and w_i of many grids from one moment vector: w is the
 transpose of the coefficient transform applied to m, one DCT/DST per
 grid, divided by the grid's K in the same loop.  _grid_store keeps each
 chunk of grids by (family, ns), read-only, for make_points and every
-later sweep: the points, one cos over the chunk's angles, and the
+later interp_rules call: the points, one cos over the chunk's angles, and the
 transform's input at each point, computed once with them (Fejer-1's
 DCT-III twiddles, Fejer-2's sin(theta)).  Expansion coefficients a_j
 follow the primed convention (first term halved):
@@ -336,6 +336,7 @@ def interp_rules(family: Family, ns, m) -> tuple[np.ndarray, np.ndarray, np.ndar
         w[bounds[:-1]] *= 0.5
         w[bounds[1:] - 1] *= 0.5
     w.setflags(write=False)
+    bounds.setflags(write=False)
     return points, w, bounds
 
 

@@ -168,7 +168,8 @@ def _seeds(alpha, beta, log: bool, beta_fn, psi) -> tuple:
     def phi(c):  # B(alpha+1, c) [Psi(alpha+c+1) - Psi(c)]
         return beta_fn(alpha + 1, c) * (psi(alpha + c + 1) - psi(c))
 
-    return -scale * phi(beta + 1), -scale * (2 * phi(beta + 2) - phi(beta + 1))
+    first = phi(beta + 1)
+    return -scale * first, -scale * (2 * phi(beta + 2) - first)
 
 
 def _forward(alpha, beta, K: int, v0, v1, m=None) -> list:

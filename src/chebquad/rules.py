@@ -22,13 +22,14 @@ five working arrays (1.25 MiB) still fit a 2 MiB L2 cache.
 
 Weighted sweeps and apply_each run in chunks of at most _CHUNK_POINTS
 points, which bounds their working set.  A weighted sweep is its chunks,
-built lazily from one moment table: the nodes from chebcore's grid
-store, the weights from a store of built chunks (two n = 100..1000
-sweeps) or one interp_rules call.  rules_for splits them
-into per-rule views, the studies sum straight from them, and _joined
-packs any other (n, nodes, weights) rules into chunks alike.  Built
-Gauss-Legendre rules are kept in a store bounded in total points, which
-holds a whole n = 10..1000 sweep.
+built lazily from one moment table: each is one interp_rules call's
+points, weights and bounds, kept whole in a store of two n = 100..1000
+sweeps.  A stored chunk holds its grid's points array, not a copy, alive
+after chebcore's grid store drops the grid: at most 2^20 points (8 MB)
+beyond that store's bound.  rules_for splits the chunks into per-rule
+views, the studies sum straight from them, and _joined packs any other
+(n, nodes, weights) rules into chunks alike.  Built Gauss-Legendre rules
+are kept in a store bounded in total points: a whole n = 10..1000 sweep.
 
 One summing path: _chunk_sums alone forms and sums rules' products, for
 apply_each, the studies and the alias tables, by one call per chunk of
@@ -43,7 +44,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .chebcore import Family, _checked_ns, _chunk_grids, _sample, _Store, interp_rules
+from .chebcore import Family, _checked_ns, _sample, _Store, interp_rules
 from .errors import NumericalFailure
 from .moments import UNIT_WEIGHT, WeightSpec, moments_for
 
@@ -216,24 +217,23 @@ def _gauss_legendre_rules(ns: list[int]) -> dict[int, QuadratureRule]:
 
 # Gauss-Legendre rules by n.
 _gauss_legendre_cached = _Store(_GAUSS_STORE_POINTS, size=operator.attrgetter("n"))
-# The weights of built weighted sweep chunks, read-only, by (family, weight,
-# max(ns), chunk): these fix every input of the chunk's interp_rules call,
-# the moment table's bucket included.  Two n = 100..1000 sweeps hold
-# 991 100 weights, 8 MB.
+# interp_rules' (points, weights, bounds) of built weighted sweep chunks by
+# (family, weight, max(ns), chunk), which fix every input of the call, bucket
+# included; sized by weights, 8 MB for two n = 100..1000 sweeps.  The points
+# are the grid store's array, not a copy, kept alive after it drops them.
 _WEIGHTED_STORE_POINTS = 1 << 20
-_weighted_rule_cached = _Store(_WEIGHTED_STORE_POINTS)
+_weighted_rule_cached = _Store(_WEIGHTED_STORE_POINTS, lambda chunk: len(chunk[1]))
 
 
 def _weighted_chunks(family: Family, ns: list[int], weight: WeightSpec) -> Iterator[tuple]:
     """(ns, nodes, weights, bounds) of each chunk of a sweep over checked ns:
-    rule i at [bounds[i], bounds[i+1]) of the read-only nodes and weights."""
+    rule i at [bounds[i], bounds[i+1]) of the nodes and weights, all read-only."""
     top = max(ns, default=1)
     moments = moments_for(weight, top - 1).values
     for chunk in _chunks(ns, lambda n: n, _CHUNK_POINTS):
-        [weights] = _weighted_rule_cached.get(
+        [(nodes, weights, bounds)] = _weighted_rule_cached.get(
             [(family, weight, top, tuple(chunk))],
-            lambda keys: {keys[0]: interp_rules(family, chunk, moments)[1]})
-        _, _, _, (nodes, _), bounds = _chunk_grids(family, chunk)
+            lambda keys: {keys[0]: interp_rules(family, chunk, moments)})
         yield chunk, nodes, weights, bounds
 
 

@@ -101,8 +101,8 @@ def test_make_points_hands_out_a_read_only_grid(family):
     # later builds and sweeps over the same one-grid chunk are still bit for bit
     m = moments_for(weight, n - 1).values
     nodes, weights = oracles.weighted_rule_per_n(family, n, m)
-    built, w, _ = interp_rules(family, [n], m)
-    assert not (built.flags.writeable or w.flags.writeable)
+    built, w, bounds = interp_rules(family, [n], m)
+    assert not (built.flags.writeable or w.flags.writeable or bounds.flags.writeable)
     rule = rule_for(family, n, weight)
     for got in (points, built, rule.nodes):
         assert np.array_equal(_bits(got), _bits(before))

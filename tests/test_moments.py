@@ -69,6 +69,41 @@ def test_seeds_match_40_digits(alpha, beta):
         assert got == pytest.approx([float(v) for v in want], rel=1e-13, abs=0.0)
 
 
+def _two_evaluation_log_seeds(alpha, beta, beta_fn, psi):
+    """The log-Jacobi seeds with phi(beta+1) evaluated separately for each seed."""
+    scale = 2 ** (alpha + beta + 1)
+
+    def phi(c):
+        return beta_fn(alpha + 1, c) * (psi(alpha + c + 1) - psi(c))
+
+    return -scale * phi(beta + 1), -scale * (2 * phi(beta + 2) - phi(beta + 1))
+
+
+def _counted(fn, calls):
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    return counted
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.775, -0.502), (-0.3, 0.2)])
+@pytest.mark.parametrize("arithmetic", ["float64", "mpf"])
+def test_log_seeds_evaluate_phi_once(alpha, beta, arithmetic):
+    # G_0 and G_1 share phi(beta+1) = B(alpha+1, beta+1) [psi(alpha+beta+2) - psi(beta+1)]:
+    # one Beta and two digammas for it, one and two more for phi(beta+2), and the
+    # same bits as evaluating phi(beta+1) for each seed
+    fns = (special.beta, special.digamma) if arithmetic == "float64" else (mp.beta, mp.digamma)
+    with mp.workdps(30):
+        a, b = (alpha, beta) if arithmetic == "float64" else (mp.mpf(alpha), mp.mpf(beta))
+        betas, psis = [], []
+        got = moments._seeds(a, b, True, _counted(fns[0], betas), _counted(fns[1], psis))
+        want = _two_evaluation_log_seeds(a, b, *fns)
+    assert (len(betas), len(psis)) == (2, 4)
+    assert got == want
+    assert all(type(g) is type(w) for g, w in zip(got, want))
+
+
 # --- equivalence with the independent closed-form reference -----------------
 
 PAIR_SAMPLE = [

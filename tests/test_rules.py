@@ -473,6 +473,41 @@ def test_weighted_store_is_bounded_in_floats(interp_rules_calls):
     assert len(interp_rules_calls) == info.misses + 1
 
 
+def _same_bits(got, want) -> bool:
+    return got.dtype == want.dtype and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("family", CHEBYSHEV_FAMILIES)
+def test_stored_weighted_chunk_is_served_whole(family, interp_rules_calls, monkeypatch):
+    # a stored chunk keeps its nodes and bounds with its weights: once the grid
+    # store has dropped every grid, a repeated sweep builds no grid and no rule
+    ns = list(range(100, 1001))
+    first = [(chunk, *(a.copy() for a in arrays))
+             for chunk, *arrays in rules._rule_chunks(family, ns, LOG)]
+    built = len(interp_rules_calls)
+    chebcore._grid_store.cache_clear()
+    grid_calls, grids = [], chebcore._grids
+
+    def counted(family, ns):
+        grid_calls.append((family, tuple(ns)))
+        return grids(family, ns)
+
+    monkeypatch.setattr(chebcore, "_grids", counted)
+    again = list(rules_for(family, ns, LOG))
+    chunks = list(rules._rule_chunks(family, ns, LOG))
+    assert grid_calls == [] and len(interp_rules_calls) == built
+    assert [chunk for chunk, *_ in chunks] == [chunk for chunk, *_ in first]
+    for (_, *got), (_, *want) in zip(chunks, first):
+        assert all(_same_bits(g, w) for g, w in zip(got, want))
+    rule = iter(again)
+    for chunk, nodes, weights, bounds in first:
+        for n, a, b in zip(chunk, bounds.tolist(), bounds[1:].tolist()):
+            r = next(rule)
+            assert r.n == n
+            assert _same_bits(r.nodes, nodes[a:b]) and _same_bits(r.weights, weights[a:b])
+    assert next(rule, None) is None
+
+
 def test_grid_store_computes_each_chunks_grid_once(monkeypatch):
     store = chebcore._grid_store
     store.cache_clear()
