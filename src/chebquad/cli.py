@@ -6,9 +6,9 @@ table.  Floats are printed with 17 significant digits so identical
 invocations produce byte-identical output.
 
 Exit codes: 0 success; 1 usage or precondition error, or a request too
-large for memory; 2 numerical failure (oracle disagreement,
-non-convergence); 3 a convergence study ran cleanly but its fitted
-slope missed the theoretical rate.
+large for memory; 2 numerical failure (non-convergence, moments beyond
+float64); 3 a convergence study ran cleanly but its fitted slope missed
+the theoretical rate.
 """
 
 from __future__ import annotations

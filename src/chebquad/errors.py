@@ -4,4 +4,5 @@ __all__ = ["NumericalFailure"]
 
 
 class NumericalFailure(RuntimeError):
-    """An iteration failed to converge or independent cross-checks disagreed."""
+    """An iteration or the reference quadrature failed to converge, or a
+    result left the float64 range."""

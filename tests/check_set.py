@@ -19,11 +19,13 @@ tests/check_set.golden); its diff lists the moved commands.
 The 373 commands:
 
 * every `quad` line of README.md (13), the `for fam` loop expanded;
-* one command per usage or numerical error message of cli.py (20),
-  except two that tests/test_cli.py checks instead: the one for an
-  --out path that cannot be written (the set writes every --out into a
-  temporary directory) and the one for a request too large for memory
-  (it needs a child process under an address-space limit);
+* one command per usage or numerical error message of cli.py, and the
+  fit-window message a second time at a weight exponent near -1, where
+  the oracle once refused the reference (20), except two messages that
+  tests/test_cli.py checks instead: the one for an --out path that
+  cannot be written (the set writes every --out into a temporary
+  directory) and the one for a request too large for memory (it needs
+  a child process under an address-space limit);
 * `alias-table` on every family, n in {1, 2, 3, 5, 8, 17, 64, 200}, for
   four weights (Gauss-Legendre takes the unit weight only, and
   Clenshaw-Curtis starts at n = 2) (100);
@@ -90,8 +92,9 @@ def readme_commands() -> list[list[str]]:
     return commands
 
 
-# One command per message of cli.py that ends a run with exit 1 or 2, and
-# one study that misses its rate (exit 3).
+# One command per message of cli.py that ends a run with exit 1 or 2, the
+# fit-window message again near alpha = -1, and one study that misses its
+# rate (exit 3).
 ERROR_COMMANDS = [
     [],                                                                  # argparse usage
     ["nodes", "--family", "f1", "--n", "four"],                          # argparse type
@@ -113,7 +116,7 @@ ERROR_COMMANDS = [
      "--tolerance", "-1"],                                               # ValueError
     ["moments", "--weight", "jacobi:1030:0", "--K", "4"],                # NumericalFailure
     ["convergence", "--family", "f1", "--weight", "jacobi:-0.98:0", "--f",
-     "abspow:0.5:0.6", "--n", "10:40"],                                  # NumericalFailure
+     "abspow:0.5:0.6", "--n", "10:40"],                                  # fit window, near -1
     ["convergence", "--family", "f1", "--f", "abspow:0.5:0.6", "--n", "10:40"],  # ValueError
     ["convergence", "--family", "f1", "--f", "abspow:0.5:0.6", "--n", "10:40",
      "--window", "10:40", "--tolerance", "0"],                           # rate missed

@@ -188,11 +188,13 @@ def test_numerical_failure_exits_two(monkeypatch, capsys):
 
 
 def test_oracle_outside_its_domain_exits_two(capsys):
-    # jacobi:0:-0.99 used to end in math.log(0): exit 1, "math domain error"
+    # jacobi:0:-0.99 lies inside the oracle's domain: the closed form gives the
+    # reference, and the study ends in its verdict (exit 3), not in a failure
     code, out, err = run(capsys, "convergence", "--family", "cc", "--weight", "jacobi:0:-0.99",
                          "--f", "abspow:0.5:1.6", "--n", "100:200")
-    assert code == 2 and out == ""
-    assert err.startswith("quad: numerical failure: reference oracle disagreement")
+    assert code == 3 and err == ""
+    assert "reference=189.60185562897428 " in out
+    assert "fitted_slope=-2.62" in out and "theoretical_slope=-1.62" in out
 
 
 def test_identical_invocations_are_byte_identical(capsys):
@@ -222,6 +224,11 @@ def test_import_loads_no_scipy():
     probe = ("import sys, chebquad, chebquad.cli; print(sorted(m for m in sys.modules"
              " if m == 'scipy' or m.startswith('scipy.')))")
     assert run_fresh("-c", probe).stdout.decode().strip() == "[]"
+
+
+def test_import_loads_no_numpy_polynomial():
+    probe = "import sys, chebquad.cli; print('numpy.polynomial' in sys.modules)"
+    assert run_fresh("-c", probe).stdout.decode().strip() == "False"
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
