@@ -27,7 +27,7 @@ import numpy as np
 
 from .chebcore import Family, _sample
 from .errors import NumericalFailure
-from .moments import UNIT_WEIGHT, WeightKind, WeightSpec, min_bar, moments_for
+from .moments import UNIT_WEIGHT, WeightKind, WeightSpec, _endpoint_terms, moments_for
 from .rules import _chunk_sums, _joined, _rounded_sums, _rule_chunks, rules_for
 
 __all__ = [
@@ -461,27 +461,27 @@ def moment_decay_exponent(
 ) -> tuple[float, float, float]:
     """(fitted exponent, theoretical exponent, r^2) of the moment decay.
 
-    Jacobi moments |M_k| decay like k^(-2-2*min_bar(alpha, beta));
-    log-Jacobi moments carry an extra ln(2k), which is divided out
-    before fitting so the exponent comparison is -2-2*beta.  Zero
-    moments (symmetric weights, degenerate half-integer pairs) are
-    excluded; degenerate tails raise ValueError.
+    The theory is the slowest live term of moments._endpoint_terms (on a
+    tie, the one carrying ln 2k, which is then divided out before fitting).
+    Weights with no live term have moments that end at a finite k, and
+    raise ValueError, as do other degenerate tails.
     """
     if not 0 < k_lo < k_hi:
         raise ValueError(f"need 0 < k_lo < k_hi, got {k_lo}, {k_hi}")
+    live = [t for t in _endpoint_terms(weight) if t.live]
+    if not live:
+        raise ValueError(f"no live endpoint term: the moments of {weight} end at a finite k")
+    slowest = min(live, key=lambda t: (t.e, not t.log))
     table = moments_for(weight, k_hi)
     ks = np.unique(np.round(np.geomspace(k_lo, k_hi, 30)).astype(int))
     vals = np.abs(table.values[ks])
-    if weight.kind is WeightKind.LOGJACOBI:
+    if slowest.log:
         vals = vals / np.log(2.0 * ks)
-        theoretical = -2.0 - 2.0 * weight.beta
-    else:
-        theoretical = -2.0 - 2.0 * min_bar(weight.alpha, weight.beta)
     # Magnitudes at the roundoff floor of the recurrence are noise.
     floor = np.max(vals) * 1e-13
     usable = np.where(vals > floor, vals, 0.0)
     fitted, r_squared = fit_slope(ks, usable, (k_lo, k_hi))
-    return fitted, theoretical, r_squared
+    return fitted, -2.0 - 2.0 * slowest.e, r_squared
 
 
 @dataclass(frozen=True)

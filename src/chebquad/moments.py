@@ -23,6 +23,7 @@ import enum
 import functools
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import mpmath as mp
@@ -105,55 +106,54 @@ def _forward_unstable(alpha: float, beta: float) -> bool:
     return alpha != beta and near
 
 
-def min_bar(alpha: float, beta: float) -> float:
-    """Effective decay parameter of |M_k|: the moments fall off like
-    k^(-2 - 2*min_bar).
-
-    An exponent sitting exactly at -1/2 kills its own endpoint's
-    contribution (the cosine prefactor vanishes), so the *other*
-    parameter takes over; when both sit at -1/2 every moment beyond the
-    first is zero and the value 0 is returned as a placeholder.
-    """
-    if alpha == -0.5 and beta == -0.5:
-        return 0.0
-    if alpha == -0.5:
-        return beta
-    if beta == -0.5:
-        return alpha
-    return min(alpha, beta)
-
-
 def _cospi(x: float) -> float:
     """cos(pi x), exactly 0 at half-odd x, where math.cos(math.pi * x) is not."""
     return 0.0 if x % 1.0 == 0.5 else math.cos(math.pi * x)
 
 
-def moment_asymptotic(weight: WeightSpec, k: int) -> float:
-    """Leading-order large-k value of M_k (G_k for log-Jacobi), both endpoint
-    contributions, for large-k validation ratios.
+_Term = namedtuple("_Term", "e live log p2 c lc")
 
-    A parameter at a half-odd integer contributes nothing at this order.
-    The log-Jacobi left-endpoint factor is evaluated as
-    cos(pi b)(-ln 2k + Psi(2b+2)) - (pi/2) sin(pi b), an algebraically
-    identical regularization of cos(pi b)[... - (pi/2) tan(pi b)] that
-    stays finite at half-odd-integer b.  k must be an integer
-    (operator.index).
+
+def _endpoint_terms(weight: WeightSpec) -> list:
+    """The large-k terms of M_k (G_k for log-Jacobi) from x = 1 and x = -1:
+    sign 2^p2 (c + lc (Psi(2e+2) - ln 2k)) Gamma(2e+2) k^(-2-2e), with sign
+    -1 and (-1)^(k+1).  A term falls like k^(-2-2e), by ln 2k more if ``log``.
+    Jacobi: e = alpha, beta and c = cos(pi e), so a half-odd e silences its
+    endpoint (not ``live``) to every order.  log-Jacobi: e = alpha+1, c =
+    cos(pi alpha); and e = beta, c = -(pi/2) sin(pi b), lc = cos(pi b), which
+    regularizes cos(pi b)[... - (pi/2) tan(pi b)] and is live at every b.
+    """
+    a, b = weight.alpha, weight.beta
+    if weight.kind is WeightKind.JACOBI:
+        terms = (a, b - a, _cospi(a), 0.0), (b, a - b, _cospi(b), 0.0)
+    else:
+        terms = ((a + 1.0, b - a - 2.0, _cospi(a), 0.0),
+                 (b, a - b + 1.0, -0.5 * math.pi * math.sin(math.pi * b), _cospi(b)))
+    return [_Term(e, c != 0.0 or lc != 0.0, lc != 0.0, p2, c, lc) for e, p2, c, lc in terms]
+
+
+def min_bar(alpha: float, beta: float) -> float:
+    """Effective decay parameter of the Jacobi moments, |M_k| ~ k^(-2-2*min_bar):
+    the smallest live endpoint exponent, exactly (min_bar(-0.5, 0.2) == 0.2),
+    as a half-odd exponent silences its endpoint to every order.  When both
+    do, the moments end at a finite k and the placeholder 0.0 is returned.
+    """
+    terms = _endpoint_terms(WeightSpec(WeightKind.JACOBI, alpha, beta))
+    return min((t.e for t in terms if t.live), default=0.0)
+
+
+def moment_asymptotic(weight: WeightSpec, k: int) -> float:
+    """Leading-order large-k value of M_k (G_k for log-Jacobi), for large-k
+    validation ratios: the sum of the live terms of _endpoint_terms, 0 where
+    both are silent.  k must be an integer (operator.index).
     """
     k = operator.index(k)
     if k < 1:
         raise ValueError(f"asymptotic form needs k >= 1, got {k}")
-    a, b = weight.alpha, weight.beta
-    sgn = 1.0 if k % 2 else -1.0  # (-1)^(k+1)
-    if weight.kind is WeightKind.JACOBI:
-        right = -(2.0 ** (b - a)) * _cospi(a) * math.gamma(2.0 * a + 2.0) * k ** (-2.0 - 2.0 * a)
-        left = sgn * 2.0 ** (a - b) * _cospi(b) * math.gamma(2.0 * b + 2.0) * k ** (-2.0 - 2.0 * b)
-        return right + left
-    bracket = _cospi(b) * (digamma(2.0 * b + 2.0) - math.log(2.0 * k)) - 0.5 * math.pi * math.sin(
-        math.pi * b
-    )
-    left = sgn * 2.0 ** (a - b + 1.0) * math.gamma(2.0 * b + 2.0) * k ** (-2.0 - 2.0 * b) * bracket
-    right = -(2.0 ** (b - a - 2.0)) * _cospi(a) * math.gamma(2.0 * a + 4.0) * k ** (-4.0 - 2.0 * a)
-    return left + right
+    signs = (-1.0, 1.0 if k % 2 else -1.0)  # (-1)^(k+1) at x = -1
+    return sum((sign * 2.0**t.p2 * (t.c + t.lc * (digamma(2.0 * t.e + 2.0) - math.log(2.0 * k)))
+                * math.gamma(2.0 * t.e + 2.0) * k ** (-2.0 - 2.0 * t.e)
+                for sign, t in zip(signs, _endpoint_terms(weight)) if t.live), 0.0)
 
 
 def _seeds(alpha, beta, log: bool, beta_fn, psi) -> tuple:

@@ -24,7 +24,7 @@ from chebquad.analysis import (
 )
 from chebquad.chebcore import Family
 from chebquad.errors import NumericalFailure
-from chebquad.moments import WeightKind, WeightSpec
+from chebquad.moments import WeightKind, WeightSpec, min_bar
 
 UNIT = WeightSpec(WeightKind.JACOBI, 0.0, 0.0)
 CHEB = WeightSpec(WeightKind.JACOBI, -0.5, -0.5)
@@ -394,6 +394,39 @@ def test_moment_decay_exponents():
     fitted, theo, r2 = moment_decay_exponent(LOG)
     assert theo == pytest.approx(-2.0)
     assert fitted == pytest.approx(theo, abs=0.05)
+
+
+# (kind, alpha, beta, theoretical exponent): the slowest live endpoint term,
+# with ln 2k divided out only where that term carries it
+LIVE_DECAYS = [
+    ("jacobi", 0.5, 2.0, -6.0),  # alpha = 1/2 silences x = 1
+    ("jacobi", 1.5, 3.0, -8.0),
+    ("logjacobi", 0.0, 3.0, -4.0),  # the x = 1 term, exponent alpha + 1, is slower
+    ("logjacobi", -0.3, 1.5, -3.4),
+    ("logjacobi", 0.2, 0.5, -3.0),  # no ln 2k: cos(pi/2) = 0
+    ("logjacobi", 0.5, -0.5, -1.0),
+]
+
+
+@pytest.mark.parametrize("kind,alpha,beta,theory", LIVE_DECAYS)
+def test_moment_decay_theory_from_the_endpoint_terms(kind, alpha, beta, theory):
+    fitted, theo, _ = moment_decay_exponent(WeightSpec(WeightKind(kind), alpha, beta))
+    assert theo == pytest.approx(theory, abs=1e-12)
+    assert abs(fitted - theo) <= 0.05
+
+
+@pytest.mark.parametrize("alpha,beta", [(2.5, -0.5), (0.5, 2.5)])
+def test_moment_decay_of_terminating_moments_raises(alpha, beta):
+    # both exponents half-odd: M_k = 0 beyond a finite k, nothing to fit
+    with pytest.raises(ValueError):
+        moment_decay_exponent(WeightSpec(WeightKind.JACOBI, alpha, beta))
+
+
+def test_moment_decay_theory_where_gamma_overflows():
+    # Gamma(2*100 + 2) overflows float64; the exponent must not need it
+    _, theo, _ = moment_decay_exponent(WeightSpec(WeightKind.JACOBI, 100.0, 0.3))
+    assert theo == pytest.approx(-2.6, abs=1e-12)
+    assert min_bar(100.0, 0.3) == 0.3
 
 
 def test_moment_decay_validation():

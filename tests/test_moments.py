@@ -341,6 +341,18 @@ def test_moment_asymptotic_ratio_at_k200():
     assert 0.9 < ratio < 1.1
 
 
+@pytest.mark.parametrize("kind,alpha,beta", [
+    ("jacobi", 0.5, 2.0), ("jacobi", 1.5, 3.0), ("logjacobi", 0.0, 3.0),
+    ("logjacobi", -0.3, 1.5), ("logjacobi", 0.2, 0.5), ("logjacobi", 0.5, -0.5),
+])
+def test_moment_asymptotic_ratio_at_k2001(kind, alpha, beta):
+    # the endpoint terms moment_asymptotic sums are the ones min_bar and
+    # moment_decay_exponent read, silenced and ln 2k-free terms included
+    w = WeightSpec(WeightKind(kind), alpha, beta)
+    ratio = moments_for(w, 2001).values[2001] / moment_asymptotic(w, 2001)
+    assert abs(ratio - 1.0) <= 2e-5
+
+
 def test_moment_asymptotic_takes_integer_k_only():
     w = WeightSpec(WeightKind.JACOBI, 0.2, -0.3)
     assert moment_asymptotic(w, np.int64(200)) == moment_asymptotic(w, 200)
@@ -432,10 +444,14 @@ def test_moment_table_validation():
 
 
 def test_min_bar_half_integer_convention():
-    # at a -1/2 parameter the endpoint term degenerates (its cosine factor
-    # vanishes), so the decay is governed by the other parameter
+    # a half-odd exponent silences its endpoint to every order (its cosine
+    # factor vanishes), so the decay is governed by the other parameter;
+    # with both half-odd the moments end at a finite k (placeholder 0.0)
     assert min_bar(-0.5, -0.5) == 0.0
-    assert min_bar(0.5, -0.5) == 0.5
+    assert min_bar(0.5, -0.5) == 0.0  # sqrt((1-x)/(1+x)): M_k = 0 for k >= 2
+    assert min_bar(2.5, -0.5) == 0.0
     assert min_bar(-0.5, 0.2) == 0.2
+    assert min_bar(0.5, 2.0) == 2.0
+    assert min_bar(1.5, 3.0) == 3.0
     assert min_bar(-0.6, -0.5) == -0.6
     assert min_bar(0.3, 0.7) == 0.3
