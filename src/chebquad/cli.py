@@ -5,6 +5,11 @@ row and one data row per n / k / m, as CSV (default) or an aligned
 table.  Floats are printed with 17 significant digits so identical
 invocations produce byte-identical output.
 
+Each subparser binds its command body, which computes everything and
+returns comments and raw columns; `_render` alone formats row values, so
+every error comes before `--out` is opened or a byte is written.  CSV is
+streamed in blocks of rows; a table formats every cell first, for widths.
+
 Exit codes: 0 success; 1 usage or precondition error, or a request too
 large for memory; 2 numerical failure (non-convergence, moments beyond
 float64); 3 a convergence study ran cleanly but its fitted slope missed
@@ -41,6 +46,8 @@ __all__ = ["main"]
 # the short names; a full name is the Family value itself
 _FAMILIES = {"f1": Family.FEJER1, "f2": Family.FEJER2, "cc": Family.CLENSHAW_CURTIS,
              "gauss": Family.GAUSS_LEGENDRE, "gl": Family.GAUSS_LEGENDRE}
+_FLOAT = "%.17g"  # 17 significant digits round-trip every double
+_BLOCK_ROWS = 1 << 14  # CSV rows converted to Python values at a time
 
 
 class _UsageError(Exception):
@@ -57,7 +64,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value) -> str:
-    return "%.17g" % float(value)
+    return _FLOAT % float(value)
 
 
 def _parse_family(text: str) -> Family:
@@ -131,9 +138,10 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="quad", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name: str, help_text: str, *, family=False, weight=False, f=False,
+    def add(name: str, help_text: str, run, *, family=False, weight=False, f=False,
             single_n=False, nrange=False, fit_flags=False):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         if family:
             p.add_argument("--family", required=True, type=_parse_family)
         if weight:
@@ -155,50 +163,50 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", default=None, help="write output here instead of stdout")
         return p
 
-    add("nodes", "nodes and weights of one rule", family=True, weight=True, single_n=True)
-    add("weights", "weights of one rule", family=True, weight=True, single_n=True)
+    add("nodes", "nodes and weights of one rule", _cmd_rule,
+        family=True, weight=True, single_n=True)
+    add("weights", "weights of one rule", _cmd_rule, family=True, weight=True, single_n=True)
 
-    p = add("moments", "modified-moment table M_k (or G_k for logjacobi)", weight=True)
+    p = add("moments", "modified-moment table M_k (or G_k for logjacobi)", _cmd_moments,
+            weight=True)
     p.add_argument("--K", required=True, type=int, help="top Chebyshev degree")
 
-    add("integrate", "apply one rule to a test function",
+    add("integrate", "apply one rule to a test function", _cmd_integrate,
         family=True, weight=True, f=True, single_n=True)
 
-    p = add("alias-table", "exact single-polynomial errors E_n[T_m]",
+    p = add("alias-table", "exact single-polynomial errors E_n[T_m]", _cmd_alias_table,
             family=True, weight=True, single_n=True)
     p.add_argument("--m-max", type=int, default=None,
                    help="largest degree tabulated (default 3n)")
 
-    p = add("convergence", "error sweep over n with a rate fit",
+    p = add("convergence", "error sweep over n with a rate fit", _cmd_convergence,
             family=True, weight=True, f=True, nrange=True, fit_flags=True)
     p.add_argument("--tolerance", type=float, default=_SLOPE_TOLERANCE,
                    help="|fitted - theoretical| acceptance margin (default %(default)s)")
     p.add_argument("--fit", choices=("ols", "envelope"), default="ols",
                    help="regress through all points, or through local error maxima")
 
-    add("weight-sums", "sum of |weights| against the integral of |w|",
+    add("weight-sums", "sum of |weights| against the integral of |w|", _cmd_weight_sums,
         family=True, weight=True, nrange=True)
 
     add("gauss-open-problem", "Gauss-Jacobi vs Gauss-Legendre vs Clenshaw-Curtis",
-        weight=True, f=True, nrange=True, fit_flags=True)
+        _cmd_gauss_open_problem, weight=True, f=True, nrange=True, fit_flags=True)
     return parser
 
 
-# ---------------------------------------------------------------------------
-# Command bodies.  Each returns (comments, header, rows, failed).
-# ---------------------------------------------------------------------------
+# Command bodies.  Each returns (comments, columns, failed), a column being
+# (name, %-format, values) with its values a concrete sequence or array.
 
 
 def _cmd_rule(args):
     """nodes prints x and w, weights prints w alone."""
     rule = rule_for(args.family, args.n, args.weight)
     comments = [f"family={rule.family.value} n={rule.n} weight={_weight_tag(args.weight)}"]
+    columns = [("j", "%s", range(len(rule.weights)))]
     if args.command == "nodes":
-        header, columns = ("j", "x", "w"), (rule.nodes, rule.weights)
-    else:
-        header, columns = ("j", "w"), (rule.weights,)
-    rows = [(str(j), *map(_fmt, values)) for j, values in enumerate(zip(*columns))]
-    return comments, header, rows, False
+        columns.append(("x", _FLOAT, rule.nodes))
+    columns.append(("w", _FLOAT, rule.weights))
+    return comments, columns, False
 
 
 def _cmd_moments(args):
@@ -207,16 +215,17 @@ def _cmd_moments(args):
         f"weight={_weight_tag(args.weight)} K={args.K}",
         f"method={table.method} est_rel_error={_fmt(table.est_rel_error)}",
     ]
-    rows = [(str(k), _fmt(v)) for k, v in enumerate(table.values)]
-    return comments, ("k", "value"), rows, False
+    columns = [("k", "%s", range(len(table.values))), ("value", _FLOAT, table.values)]
+    return comments, columns, False
 
 
 def _cmd_integrate(args):
     rule = rule_for(args.family, args.n, args.weight)
     value = apply_rule(rule, args.f)
     comments = [f"weight={_weight_tag(args.weight)} f={args.f.describe()}"]
-    rows = [(rule.family.value, str(rule.n), _fmt(value))]
-    return comments, ("family", "n", "value"), rows, False
+    columns = [("family", "%s", (rule.family.value,)), ("n", "%s", (rule.n,)),
+               ("value", _FLOAT, (value,))]
+    return comments, columns, False
 
 
 def _cmd_alias_table(args):
@@ -224,19 +233,14 @@ def _cmd_alias_table(args):
     if m_max < 0:
         raise _UsageError(f"m-max must be nonnegative, got {m_max}")
     records = alias_errors(args.family, args.n, range(m_max + 1), args.weight)
-    comments = [
-        f"family={args.family.value} n={args.n} weight={_weight_tag(args.weight)}"
-    ]
+    comments = [f"family={args.family.value} n={args.n} weight={_weight_tag(args.weight)}"]
     rows = [
-        (str(rec.m), rec.reduced_form.value, str(rec.p), str(rec.j),
-         "" if rec.r is None else str(rec.r), str(rec.sign),
-         _fmt(rec.predicted), _fmt(rec.computed), _fmt(rec.residual),
-         _fmt(rec.leading))
+        (rec.m, rec.reduced_form.value, rec.p, rec.j, "" if rec.r is None else rec.r,
+         rec.sign, rec.predicted, rec.computed, rec.residual, rec.leading)
         for rec in records
     ]
-    header = ("m", "form", "p", "j", "r", "sign", "predicted", "computed",
-              "residual", "leading")
-    return comments, header, rows, False
+    header = ("m", "form", "p", "j", "r", "sign", "predicted", "computed", "residual", "leading")
+    return comments, list(zip(header, ("%s",) * 6 + (_FLOAT,) * 4, zip(*rows))), False
 
 
 def _cmd_convergence(args):
@@ -254,8 +258,8 @@ def _cmd_convergence(args):
         f" log_factor={report.log_factor} passed={report.passed}",
         f"reference={_fmt(report.reference)} oracle_error={_fmt(report.oracle_error)}",
     ]
-    rows = [(str(n), _fmt(e)) for n, e in zip(report.ns, report.abs_errors)]
-    return comments, ("n", "abs_error"), rows, not report.passed
+    columns = [("n", "%s", report.ns), ("abs_error", _FLOAT, report.abs_errors)]
+    return comments, columns, not report.passed
 
 
 def _cmd_weight_sums(args):
@@ -265,13 +269,12 @@ def _cmd_weight_sums(args):
         f"family={args.family.value} weight={_weight_tag(args.weight)}"
         f" integral_abs_w={_fmt(target)}",
     ]
-    rows = [(str(n), _fmt(total), _fmt(dev)) for n, total, dev in study]
-    return comments, ("n", "abs_weight_sum", "deviation"), rows, False
+    header = ("n", "abs_weight_sum", "deviation")
+    return comments, list(zip(header, ("%s", _FLOAT, _FLOAT), zip(*study))), False
 
 
 def _cmd_gauss_open_problem(args):
-    report = gauss_open_problem_study(args.weight, args.f, args.n,
-                                      fit_window=args.window)
+    report = gauss_open_problem_study(args.weight, args.f, args.n, fit_window=args.window)
     comments = [
         f"weight={_weight_tag(args.weight)} f={args.f.describe()}"
         f" reference={_fmt(report.reference)}",
@@ -279,56 +282,47 @@ def _cmd_gauss_open_problem(args):
     ]
     for name, (slope, r2) in report.slopes.items():
         comments.append(f"slope[{name}]={_fmt(slope)} r_squared={_fmt(r2)}")
-    rows = [
-        (str(n), _fmt(gj), _fmt(gl), _fmt(cc))
-        for n, gj, gl, cc in zip(report.ns, report.gauss_jacobi_errors,
-                                 report.gauss_legendre_errors,
-                                 report.clenshaw_curtis_errors)
+    columns = [
+        ("n", "%s", report.ns),
+        ("gauss_jacobi", _FLOAT, report.gauss_jacobi_errors),
+        ("gauss_legendre_times_w", _FLOAT, report.gauss_legendre_errors),
+        ("clenshaw_curtis", _FLOAT, report.clenshaw_curtis_errors),
     ]
-    header = ("n", "gauss_jacobi", "gauss_legendre_times_w", "clenshaw_curtis")
-    return comments, header, rows, False
+    return comments, columns, False
 
 
-_COMMANDS = {
-    "nodes": _cmd_rule,
-    "weights": _cmd_rule,
-    "moments": _cmd_moments,
-    "integrate": _cmd_integrate,
-    "alias-table": _cmd_alias_table,
-    "convergence": _cmd_convergence,
-    "weight-sums": _cmd_weight_sums,
-    "gauss-open-problem": _cmd_gauss_open_problem,
-}
+def _listed(values):
+    return values.tolist() if isinstance(values, np.ndarray) else values
 
 
-def _render(fmt: str, comments, header, rows) -> str:
-    lines = [f"# {c}" for c in comments]
+def _render(handle, fmt: str, comments, columns) -> None:
+    """Write the comments, the header and one line per row to handle.  CSV
+    streams its lines in blocks of rows; a table formats every cell first,
+    the header's included, for the widths."""
+    handle.writelines(f"# {c}\n" for c in comments)
     if fmt == "csv":
-        lines.append(",".join(header))
-        lines.extend(",".join(row) for row in rows)
+        handle.write(",".join(name for name, _, _ in columns) + "\n")
+        line = ",".join(form for _, form, _ in columns) + "\n"
+        for lo in range(0, len(columns[0][2]), _BLOCK_ROWS):
+            block = [_listed(values[lo:lo + _BLOCK_ROWS]) for _, _, values in columns]
+            handle.writelines(line % row for row in zip(*block))
     else:
-        widths = [
-            max(len(h), max((len(row[i]) for row in rows), default=0))
-            for i, h in enumerate(header)
-        ]
-        lines.append("  ".join(h.rjust(w) for h, w in zip(header, widths)))
-        lines.extend(
-            "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows
-        )
-    return "\n".join(lines) + "\n"
+        cells = [[name, *(form % v for v in _listed(values))] for name, form, values in columns]
+        widths = [max(map(len, col)) for col in cells]
+        handle.writelines("  ".join(cell.rjust(w) for cell, w in zip(row, widths)) + "\n"
+                          for row in zip(*cells))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        comments, header, rows, failed = _COMMANDS[args.command](args)
-        text = _render(args.format, comments, header, rows)
+        comments, columns, failed = args.run(args)
         if args.out:  # an unwritable path is reported like a usage error
             with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                _render(handle, args.format, comments, columns)
         else:
-            sys.stdout.write(text)
+            _render(sys.stdout, args.format, comments, columns)
     except NumericalFailure as exc:
         print(f"quad: numerical failure: {exc}", file=sys.stderr)
         return 2

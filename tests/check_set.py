@@ -16,7 +16,7 @@ tests/test_check_set.py compares a fresh run with it.  A change that
 moves bytes rewrites it (PYTHONPATH=src python tests/check_set.py >
 tests/check_set.golden); its diff lists the moved commands.
 
-The 373 commands:
+The 382 commands:
 
 * every `quad` line of README.md (13), the `for fam` loop expanded;
 * one command per usage or numerical error message of cli.py, and the
@@ -36,6 +36,10 @@ The 373 commands:
   n = 100..500, then n = 100..1000: the sweeps share their first chunks
   but take moment tables of different buckets (2);
 * every command of one seed-1 pass of the three perfbench workloads (228);
+* `--format table` on every command but `gauss-open-problem`: `nodes`
+  (once to stdout, once to --out), `weights`, `moments`, `integrate`,
+  `alias-table` on Gauss-Legendre and on Fejer-2, one short
+  `convergence` and one `weight-sums` (9);
 * `moments` on three weights near float64's limit: one whose
   2^(alpha+beta+1) overflows although its table does not, and two whose
   recurrence overflows at k = 2 (3);
@@ -145,6 +149,23 @@ LIMIT_COMMANDS = [["moments", "--weight", weight, "--K", "3"]
 SIGNED_ZERO_COMMANDS = [["moments", "--weight", "jacobi:0:-0", "--K", "2"]]
 
 
+# --format table, whose column widths come from every cell: the Gauss-Legendre
+# alias table's r column mixes empty cells and ints, the Fejer-2 one is empty.
+TABLE_COMMANDS = [[*argv, "--format", "table"] for argv in (
+    ["nodes", "--family", "gauss", "--n", "7"],
+    ["nodes", "--family", "cc", "--weight", "jacobi:-0.5:0.5", "--n", "9", "--out", "x.txt"],
+    ["weights", "--family", "f1", "--weight", "logjacobi:-0.3:0.2", "--n", "9"],
+    ["moments", "--weight", "jacobi:0.2:-0.3", "--K", "12"],
+    ["integrate", "--family", "f2", "--weight", "jacobi:-0.5:-0.5", "--f", "abspow:0:1",
+     "--n", "200"],
+    ["alias-table", "--family", "gauss", "--n", "5"],
+    ["alias-table", "--family", "fejer2", "--weight", "jacobi:-0.3:0.2", "--n", "5"],
+    ["convergence", "--family", "cc", "--weight", "jacobi:-0.3:0.2", "--f", "abspow:0.5:0.6",
+     "--n", "100:110"],
+    ["weight-sums", "--family", "cc", "--weight", "jacobi:-0.6:-0.5", "--n", "25:400:geom5"],
+)]
+
+
 def alias_commands() -> list[list[str]]:
     commands = []
     for family in ("fejer1", "fejer2", "cc", "gauss"):
@@ -194,7 +215,7 @@ def run(argv: list[str], scratch: str) -> tuple[int, str]:
 
 def main() -> None:
     commands = (readme_commands() + ERROR_COMMANDS + alias_commands() + CHUNK_COMMANDS
-                + BUCKET_COMMANDS + workload_commands() + LIMIT_COMMANDS
+                + BUCKET_COMMANDS + workload_commands() + TABLE_COMMANDS + LIMIT_COMMANDS
                 + SIGNED_ZERO_COMMANDS)
     print("  ".join([f"# python {platform.python_version()}",
                      *(f"{name} {version(name)}" for name in ("numpy", "scipy", "mpmath"))]))

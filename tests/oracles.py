@@ -88,7 +88,9 @@ def kink_integral(kind: str, alpha: float, beta: float,
     region's singular end, where the integrand behaves like z^e, and
     t = z^(1+e) makes it regular there.  Without the substitution
     tanh-sinh loses digits once alpha or beta nears -0.85; a plain
-    mp.quad over [-1, c, 1] is off in the last digit of a double.
+    mp.quad over [-1, c, 1] is off in the last digit of a double.  Each
+    region is integrated twice, the second time divided by the first
+    result, since mp.quad's error target is absolute.
     """
     with mp.workdps(_DPS):
         a, b, c, s = (mp.mpf(v) for v in (alpha, beta, c, s))
@@ -115,7 +117,12 @@ def kink_integral(kind: str, alpha: float, beta: float,
                 one_minus, one_plus, fx = at(t ** p)
                 return weight(one_minus, one_plus) * fx * p * t ** (p - 1)
 
-            total += mp.quad(integrand, [0, length ** (1 + e)])
+            # mp.quad stops on an absolute error near 10^-60, which is the
+            # whole value of some regions; a second pass at unit scale is not
+            first = mp.quad(integrand, [0, length ** (1 + e)])
+            if first:
+                first *= mp.quad(lambda t: integrand(t) / first, [0, length ** (1 + e)])
+            total += first
         return float(total)
 
 

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -88,6 +88,10 @@ def test_oracle_pinned_kink_cells(weight, f, expected):
     c=st.floats(min_value=-0.95, max_value=0.95, exclude_min=True, exclude_max=True),
     s=st.floats(min_value=0.05, max_value=3.5, exclude_min=True, exclude_max=True),
 )
+# values near 1e-60 and 1e-66, where the reference's quadrature once stopped on
+# its absolute error target: it returned 1.094886527524876e-60 for the first
+@example(kind="jacobi", f_kind="powplus", alpha=41.0, beta=0.0, c=0.9375, s=3.0)
+@example(kind="logjacobi", f_kind="powplus", alpha=50.0, beta=-0.99, c=0.94, s=0.06)
 def test_oracle_kink_values_are_correctly_rounded(kind, f_kind, alpha, beta, c, s):
     # the whole domain, exponents near -1 and large ones alike, with no float64 warning
     assume(f_kind == "powplus" or s % 2 != 0)

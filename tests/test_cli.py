@@ -250,6 +250,26 @@ def test_out_flag_unwritable_path_is_a_usage_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_a_million_node_rule_streams_its_output(tmp_path):
+    # the child's own VmHWM: ru_maxrss would carry this process's high-water mark
+    # across exec.  Formatting the whole text before writing it peaked at 559 MB.
+    target = tmp_path / "nodes.csv"
+    probe = ("import sys, chebquad.cli; code = chebquad.cli.main(sys.argv[1:]);"
+             " status = open('/proc/self/status').read().split('VmHWM:')[1];"
+             " print(code, int(status.split()[0]) // 1024)")
+    proc = run_fresh("-c", probe, "nodes", "--family", "f1", "--n", "1000000",
+                     "--out", str(target), timeout=120)
+    code, peak_mb = map(int, proc.stdout.split())
+    assert code == 0 and peak_mb < 250, peak_mb
+    with open(target, encoding="utf-8") as handle:
+        first = next(handle)
+        for last in handle:
+            pass
+    assert first == "# family=fejer1 n=1000000 weight=jacobi:0:0\n"
+    assert last == "999999,-0.99999999999876632,4.3063763572881442e-12\n"
+
+
 def test_table_format(capsys):
     code, out, _ = run(capsys, "weights", "--family", "f1", "--weight",
                        "jacobi:0:0", "--n", "3", "--format", "table")
