@@ -7,10 +7,10 @@ Clenshaw-Curtis, 2n+1 for Gauss-Legendre).  On the Chebyshev point sets
 the rule value of T_m is then +-(the rule value of T_j), j = d <= n+1;
 on Gauss-Legendre the fold gives the leading 2/(1-4r^2) and pi/2 terms of
 the error.  This module provides the canonical (p, j, sign) reduction,
-the exact errors E_n[T_m] = I[T_m] - I_n[T_m] of every family with their
-predictions, and a truncated error-series consistency check.  Every rule
-value I_n[T_m] is a correctly rounded sum of rules._chunk_sums, and the
-series terms are the E_n[T_m] that `alias-table` prints.
+and the exact errors E_n[T_m] = I[T_m] - I_n[T_m] of every family with
+their predictions.  Every rule value I_n[T_m] is a correctly rounded sum
+of rules._chunk_sums; analysis.error_series_check sums these errors as
+the terms of a function's error series.
 """
 
 from __future__ import annotations
@@ -19,14 +19,15 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .analysis import oracle_integral
-from .chebcore import CHEBYSHEV_FAMILIES, Family, _checked_ns, cheb_expansion_coeffs
-from .moments import WeightSpec, moments_for
-from .rules import QuadratureRule, _chunk_sums, _joined, _rounded_sums, apply, rule_for
+from .chebcore import CHEBYSHEV_FAMILIES, Family, _checked_ns
+from .moments import WeightSpec, _bucket, moments_for
+from .rules import QuadratureRule, _chunk_sums, _joined, rule_for
+
+__all__ = ["ReducedForm", "AliasRecord", "alias_reduce", "alias_errors"]
 
 
 class ReducedForm(enum.Enum):
@@ -159,12 +160,16 @@ def alias_errors(family: Family, n: int, ms: Iterable[int], weight: WeightSpec) 
     edges = (rule.n, rule.n + 1) if rule.family is Family.FEJER2 else ()
     degrees = sorted({m for m, *_ in reduced}.union(edges))
     node_sum = dict(zip(degrees, _rule_values(rule, degrees)))
+    # moments_for(weight, m) reads the table of m's bucket: read each bucket once
+    tables = {bucket: moments_for(weight, bucket).values
+              for bucket in {_bucket(m) for m, *_ in reduced}
+              if rule.family is not Family.GAUSS_LEGENDRE}
     records = []
     for m, p, j, sign, form, r in reduced:
         if rule.family is Family.GAUSS_LEGENDRE:
             exact, leading = _legendre_exact(m), 0.0
         else:
-            table = moments_for(weight, m).values
+            table = tables[_bucket(m)]
             exact, leading = table[m], abs(table[j])
         if form is ReducedForm.GAUSS_EXACT:
             value = exact
@@ -187,39 +192,3 @@ def alias_errors(family: Family, n: int, ms: Iterable[int], weight: WeightSpec) 
             leading=leading, r=r,
         ))
     return records
-
-
-def error_series_check(
-    family: Family,
-    n: int,
-    f: Callable[[np.ndarray], np.ndarray],
-    weight: WeightSpec,
-    truncation: int,
-) -> float:
-    """Residual of the aliasing error series against the directly measured error.
-
-    The quadrature error of a function expands as
-    E_n[f] = sum_{j >= start} a_j E_n[T_j] with a_j the Chebyshev
-    coefficients of f and start = n for the interpolatory Chebyshev
-    rules (2n for Gauss-Legendre, whose exactness reaches degree 2n-1).
-    The E_n[T_j] are alias_errors' ``computed`` values; sums are correctly rounded.
-    Returns |E_n[f] - partial sum up to ``truncation``|, which shrinks
-    as the truncation grows whenever the coefficients are absolutely
-    summable.
-    """
-    rule = rule_for(family, n, weight)
-    start = 2 * n if rule.family is Family.GAUSS_LEGENDRE else n
-    if truncation < start:
-        raise ValueError(
-            f"truncation {truncation} is below the series start {start}"
-        )
-    reference, _ = oracle_integral(weight, f)
-    measured = reference - apply(rule, f)
-
-    count = truncation + 1
-    oversample = max(4 * count, 4096)
-    coeffs = cheb_expansion_coeffs(f, count, oversample)
-    errors = [rec.computed for rec in alias_errors(rule.family, rule.n,
-                                                   range(start, count), weight)]
-    series = _rounded_sums(coeffs[start:] * errors, [0, len(errors)])[0]
-    return abs(measured - series)

@@ -2,9 +2,10 @@
 
 The empirical side of the package: a high-precision oracle for weighted
 integrals of kink test functions, error sweeps of every rule over n,
-and least-squares rate fits compared against the theoretical
+least-squares rate fits compared against the theoretical
 convergence-rate tables (interpolatory Chebyshev rules under Jacobi and
-log-Jacobi weights; Gauss-Legendre under the unit weight).
+log-Jacobi weights; Gauss-Legendre under the unit weight), and the
+aliasing error series of a function checked against its measured error.
 
 The oracle takes one route per integrand kind, in 40-digit arithmetic,
 for every weight exponent alpha, beta > -1: the two-term 2F1 closed form
@@ -25,10 +26,11 @@ from typing import Callable, Optional, Sequence
 import mpmath as mp
 import numpy as np
 
-from .chebcore import Family, _sample
+from .aliasing import alias_errors
+from .chebcore import Family, _sample, cheb_expansion_coeffs
 from .errors import NumericalFailure
 from .moments import UNIT_WEIGHT, WeightKind, WeightSpec, _endpoint_terms, moments_for
-from .rules import _chunk_sums, _joined, _rounded_sums, _rule_chunks, rules_for
+from .rules import _chunk_sums, _joined, _rounded_sums, _rule_chunks, apply, rule_for, rules_for
 
 __all__ = [
     "TestKind",
@@ -37,6 +39,7 @@ __all__ = [
     "powplus",
     "custom",
     "oracle_integral",
+    "error_series_check",
     "theoretical_rate",
     "fit_slope",
     "envelope_slope",
@@ -234,6 +237,42 @@ def oracle_integral(weight: WeightSpec, f) -> tuple[float, float]:
     value overflows float64.
     """
     return _oracle(weight, _as_test_function(f))
+
+
+def error_series_check(
+    family: Family,
+    n: int,
+    f: Callable[[np.ndarray], np.ndarray],
+    weight: WeightSpec,
+    truncation: int,
+) -> float:
+    """Residual of the aliasing error series against the directly measured error.
+
+    The quadrature error of a function expands as
+    E_n[f] = sum_{j >= start} a_j E_n[T_j] with a_j the Chebyshev
+    coefficients of f and start = n for the interpolatory Chebyshev
+    rules (2n for Gauss-Legendre, whose exactness reaches degree 2n-1).
+    The E_n[T_j] are alias_errors' ``computed`` values; sums are correctly rounded.
+    Returns |E_n[f] - partial sum up to ``truncation``|, which shrinks
+    as the truncation grows whenever the coefficients are absolutely
+    summable.
+    """
+    rule = rule_for(family, n, weight)
+    start = 2 * n if rule.family is Family.GAUSS_LEGENDRE else n
+    if truncation < start:
+        raise ValueError(
+            f"truncation {truncation} is below the series start {start}"
+        )
+    reference, _ = oracle_integral(weight, f)
+    measured = reference - apply(rule, f)
+
+    count = truncation + 1
+    oversample = max(4 * count, 4096)
+    coeffs = cheb_expansion_coeffs(f, count, oversample)
+    errors = [rec.computed for rec in alias_errors(rule.family, rule.n,
+                                                   range(start, count), weight)]
+    series = _rounded_sums(coeffs[start:] * errors, [0, len(errors)])[0]
+    return abs(measured - series)
 
 
 # ---------------------------------------------------------------------------

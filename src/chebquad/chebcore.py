@@ -36,7 +36,8 @@ same real FFT of the same input, the same pre- and post-passes and the
 same twiddle factors.  So every weight is bit for bit what scipy.fft
 gives, without importing scipy.  _grid_store is a _Store, the package's
 one bounded least-recently-used store, which also keeps the rules
-module's Gauss-Legendre rules and weighted sweep chunks.
+module's Gauss-Legendre rules and weighted sweep chunks and the moments
+module's moment tables.
 """
 
 import collections
@@ -197,9 +198,10 @@ _CacheInfo = collections.namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 class _Store:
-    """Values by key, bounded in total size: once the values kept add up
-    to more than ``max_size``, each counted as ``size(value)``, the least
-    recently used go.
+    """The package's one bounded store, for every cache whose values grow
+    with the request: values by key, bounded in total size.  Once the
+    values kept add up to more than ``max_size``, each counted as
+    ``size(value)``, the least recently used go.
 
     cache_info() counts every key looked up as one hit or one miss, as
     functools.lru_cache does; its maxsize and currsize are in size units.

@@ -25,10 +25,11 @@ import time
 import numpy as np
 
 import oracles
-from chebquad.aliasing import alias_errors, error_series_check
+from chebquad.aliasing import alias_errors
 from chebquad.analysis import (
     abspow,
     convergence_study,
+    error_series_check,
     moment_decay_exponent,
     oracle_integral,
     weight_sum_study,

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chebquad import aliasing
-from chebquad.aliasing import ReducedForm, alias_errors, alias_reduce, error_series_check
-from chebquad.analysis import abspow, custom, oracle_integral
+from chebquad.aliasing import ReducedForm, alias_errors, alias_reduce
+from chebquad.analysis import abspow, custom, error_series_check, oracle_integral
 from chebquad.chebcore import CHEBYSHEV_FAMILIES, Family, cheb_expansion_coeffs, chebyshev_T
 from chebquad.moments import WeightKind, WeightSpec, moments_for
 from chebquad.rules import apply, rule_for

@@ -1,5 +1,6 @@
 """The package's public names, and the private ones the benchmark's tracer reads."""
 
+import ast
 import dataclasses
 import inspect
 import json
@@ -127,3 +128,20 @@ def test_traced_run_reports_every_metric(tmp_path):
     assert report["rules.gauss_builds"] > 0
     assert report["analysis.oracle_calls"] == 2
     assert report["trace.spans"] > 0
+
+
+LAYERS = ("errors", "special", "chebcore", "moments", "rules", "aliasing", "analysis", "cli")
+
+
+def test_each_module_imports_only_earlier_layers():
+    # the package's imports form one chain, so a module loads only what the
+    # layers below it need (aliasing does not load analysis' oracle)
+    for path in sorted((ROOT / "src" / "chebquad").glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        below = LAYERS[:LAYERS.index(path.stem)]
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [node.module] if node.module else [alias.name for alias in node.names]
+                for name in names:
+                    assert name in below, (path.stem, name)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -319,6 +320,77 @@ def test_extended_route_is_correctly_rounded(kind, half_odd, offset, gap, mirror
     assert within_one_ulp(table.values, [ref(alpha, beta, k) for k in range(41)])
 
 
+HALF_ODD = [-0.5, 0.5, 1.5, 2.5, 3.5, 4.5, 5.5]
+
+
+@st.composite
+def extended_pairs(draw):
+    """(smaller, other) on the extended route: the smaller at, 1e-8 from or
+    within the margin of a half-odd line up to 11/2; the other up to 700,
+    clear of the half-odd lines (see the test above)."""
+    smaller = draw(st.sampled_from(HALF_ODD)) + draw(st.one_of(
+        st.just(0.0), st.sampled_from([-1e-8, 1e-8]), st.floats(-0.049, 0.049)))
+    other = draw(st.floats(smaller, 700.0).filter(
+        lambda x: x > smaller and abs(x % 1.0 - 0.5) > 0.06))
+    return smaller, other
+
+
+@st.composite
+def two_term_step_pairs(draw):
+    """(smaller, other) with alpha + beta = N exactly, so step k = N + 2 has
+    r = d: dyadic offsets within the margin keep N - smaller exact, and put
+    the other parameter as close to a half-odd line as the smaller."""
+    smaller = draw(st.sampled_from(HALF_ODD)) + draw(
+        st.integers(-51, 51).filter(bool)) / 1024
+    return smaller, draw(st.integers(math.floor(2 * smaller) + 1, 60)) - smaller
+
+
+@given(
+    kind=st.sampled_from(["jacobi", "logjacobi"]),
+    pair=st.one_of(extended_pairs(), two_term_step_pairs()),
+    K=st.sampled_from([64, 256, 1024, 4096]),
+    mirrored=st.booleans(),
+)
+@example(kind="jacobi", pair=(-0.5, 0.5), K=64, mirrored=False)
+# 20 guard digits round one entry of each of these two the other way
+@example(kind="jacobi", pair=(3.5, 684.9274025460973), K=64, mirrored=False)
+@example(kind="logjacobi", pair=(3.46626658152975, 591.5744859866887), K=64, mirrored=True)
+@example(kind="logjacobi", pair=(1.5 - 3 / 1024, 2.5 + 3 / 1024), K=64, mirrored=True)
+@settings(max_examples=30, deadline=None)
+def test_guard_digits_give_the_table_of_40_more_digits(kind, pair, K, mirrored):
+    alpha, beta = pair if mirrored else pair[::-1]
+    log = kind == "logjacobi"
+    digits = moments.GUARD_DIGITS + math.ceil(moments._growth(alpha, beta, K))
+    # tables of hundreds of digits at K = 4096 take seconds each
+    assume(digits <= 400)
+    values, method, _ = moments._values(alpha, beta, K, log)
+    assert method == "extended"
+    with mp.workdps(digits + 40):
+        ref = moments._table(mp.mpf(alpha), mp.mpf(beta), K, log, moments._mp_seeds)
+    assert np.array_equal(values.view(np.int64), ref.view(np.int64))
+
+
+@given(kind=st.sampled_from(["jacobi", "logjacobi"]), pair=extended_pairs(),
+       mirrored=st.booleans())
+@example(kind="jacobi", pair=(0.45, 300.3), mirrored=False)
+@example(kind="jacobi", pair=(2.546, 377.19), mirrored=True)
+@example(kind="logjacobi", pair=(25.545, 672.02), mirrored=True)
+@example(kind="jacobi", pair=(-0.5, 6.0), mirrored=False)
+@settings(max_examples=20, deadline=None)
+def test_est_rel_error_bounds_the_table_error(kind, pair, mirrored):
+    alpha, beta = pair if mirrored else pair[::-1]
+    table = moments_for(WeightSpec(WeightKind(kind), alpha, beta), 40)
+    assert table.method == "extended"
+    moment = oracles.chebyshev_jacobi_moment if kind == "jacobi" else oracles.chebyshev_log_jacobi_moment
+    # The closed form sums terms up to about 10^30 times M_0 into moments
+    # down to 10^-31 times M_0 on this domain, more than 60 digits carry:
+    # at jacobi:6:-0.5 its M_40 is 3 ulps off the recurrence at 200 digits.
+    with mock.patch.object(oracles, "_DPS", 120):
+        ref = np.array([moment(alpha, beta, k) for k in range(41)])
+    # the reference is itself rounded once to float64
+    assert np.all(np.abs(table.values - ref) <= (table.est_rel_error + 2.0**-53) * np.abs(ref))
+
+
 def test_tables_are_consistent_across_lengths():
     # cache bucketing must never change returned values
     short = moments_for(WeightSpec(WeightKind.JACOBI, 0.5, -0.5), 40).values
@@ -406,6 +478,27 @@ def test_negative_zero_parameter_leaves_no_trace_in_the_cache():
     assert math.copysign(1.0, negative.beta) == 1.0
     moments_for(negative, 2)
     assert np.float64(moments_for(UNIT_WEIGHT, 2).values[1]).view(np.int64) == 0
+
+
+def test_moment_stores_are_bounded_in_entries(monkeypatch):
+    # a table of bucket K holds K+1 entries: room here for three at K = 64
+    store = moments._jacobi_values
+    store.cache_clear()
+    monkeypatch.setattr(store, "max_size", 3 * 65)
+    weights = [WeightSpec(WeightKind.JACOBI, 0.1 * i, 0.2) for i in range(4)]
+    for weight in weights:
+        moments_for(weight, 40)
+        assert store.cache_info().currsize <= store.max_size
+    info = store.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 4, 3 * 65)
+    moments_for(weights[0], 40)  # the oldest table was dropped: built again
+    assert store.cache_info().misses == info.misses + 1
+    # a table larger than the whole bound is returned but not kept
+    big = moments_for(weights[1], 1000)
+    assert len(big.values) == 1001 and store.cache_info().currsize <= store.max_size
+    assert np.array_equal(moments_for(weights[1], 1000).values, big.values)
+    assert store.cache_info().misses == info.misses + 3
+    store.cache_clear()
 
 
 def test_moment_table_validation():
