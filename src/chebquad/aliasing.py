@@ -8,7 +8,8 @@ the rule value of T_m is then +-(the rule value of T_j), j = d <= n+1;
 on Gauss-Legendre the fold gives the leading 2/(1-4r^2) and pi/2 terms of
 the error.  This module provides the canonical (p, j, sign) reduction,
 and the exact errors E_n[T_m] = I[T_m] - I_n[T_m] of every family with
-their predictions.  Every rule value I_n[T_m] is a correctly rounded sum
+their predictions; on the Chebyshev families one moment table per call
+gives every I[T_m].  Every rule value I_n[T_m] is a correctly rounded sum
 of rules._chunk_sums; analysis.error_series_check sums these errors as
 the terms of a function's error series.
 """
@@ -24,7 +25,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .chebcore import CHEBYSHEV_FAMILIES, Family, _checked_ns
-from .moments import WeightSpec, _bucket, moments_for
+from .moments import WeightSpec, moments_for
 from .rules import QuadratureRule, _chunk_sums, _joined, rule_for
 
 __all__ = ["ReducedForm", "AliasRecord", "alias_reduce", "alias_errors"]
@@ -160,16 +161,13 @@ def alias_errors(family: Family, n: int, ms: Iterable[int], weight: WeightSpec) 
     edges = (rule.n, rule.n + 1) if rule.family is Family.FEJER2 else ()
     degrees = sorted({m for m, *_ in reduced}.union(edges))
     node_sum = dict(zip(degrees, _rule_values(rule, degrees)))
-    # moments_for(weight, m) reads the table of m's bucket: read each bucket once
-    tables = {bucket: moments_for(weight, bucket).values
-              for bucket in {_bucket(m) for m, *_ in reduced}
-              if rule.family is not Family.GAUSS_LEGENDRE}
+    if rule.family is not Family.GAUSS_LEGENDRE:
+        table = moments_for(weight, max(degrees, default=0)).values
     records = []
     for m, p, j, sign, form, r in reduced:
         if rule.family is Family.GAUSS_LEGENDRE:
             exact, leading = _legendre_exact(m), 0.0
         else:
-            table = tables[_bucket(m)]
             exact, leading = table[m], abs(table[j])
         if form is ReducedForm.GAUSS_EXACT:
             value = exact

@@ -21,7 +21,9 @@ once to float64.
 
 Tables are kept by (alpha, beta, K) in two chebcore._Store stores, one per
 kind, bounded in table entries; K is rounded up to a power of two, so
-nearby requests share one table.
+nearby requests share one table.  M_k is the same float whatever K it is
+read at; the one exception left is an exact zero before the zero tail of a
+Jacobi table whose parameters are both half-odd (M_6 of jacobi:2.5:4.5).
 """
 
 import enum
@@ -256,6 +258,9 @@ def _values(alpha: float, beta: float, K: int, log: bool) -> tuple[np.ndarray, s
         digits = GUARD_DIGITS + math.ceil(growth)
         with mp.workdps(digits):
             v = _table(mp.mpf(alpha), mp.mpf(beta), K, log, _mp_seeds)
+        if not log and _cospi(alpha) == _cospi(beta) == 0.0:
+            # w is a degree alpha+beta+1 polynomial over sqrt(1-x^2): M_k = 0 beyond
+            v[round(alpha + beta) + 2:] = 0.0
         # float64 rounding plus K steps of working-precision error grown by 10^growth
         method, est = "extended", 2.0**-53 + 10.0 ** (math.log10(K) + growth - digits)
     else:
@@ -274,14 +279,6 @@ def _values(alpha: float, beta: float, K: int, log: bool) -> tuple[np.ndarray, s
 _MOMENT_STORE_ENTRIES = 1 << 21
 _jacobi_values = _Store(_MOMENT_STORE_ENTRIES, lambda entry: len(entry[0]))
 _log_values = _Store(_MOMENT_STORE_ENTRIES, lambda entry: len(entry[0]))
-
-
-def _bucket(K: int) -> int:
-    """Round K up to a power of two so nearby requests share one cached table."""
-    b = 64
-    while b < K:
-        b *= 2
-    return b
 
 
 def moments_for(weight: WeightSpec, K: int) -> MomentTable:
@@ -308,7 +305,7 @@ def moments_for(weight: WeightSpec, K: int) -> MomentTable:
     store = _log_values if log else _jacobi_values
     try:
         [(values, method, est)] = store.get(
-            [(weight.alpha, weight.beta, _bucket(K))],
+            [(weight.alpha, weight.beta, 1 << max(6, (K - 1).bit_length()))],
             lambda keys: {key: _values(*key, log) for key in keys})
     except OverflowError as exc:
         raise NumericalFailure(f"moments of weight={weight} overflow float64") from exc

@@ -218,9 +218,10 @@ def _gauss_legendre_rules(ns: list[int]) -> dict[int, QuadratureRule]:
 # Gauss-Legendre rules by n.
 _gauss_legendre_cached = _Store(_GAUSS_STORE_POINTS, size=operator.attrgetter("n"))
 # interp_rules' (points, weights, bounds) of built weighted sweep chunks by
-# (family, weight, max(ns), chunk), which fix every input of the call, bucket
-# included; sized by weights, 8 MB for two n = 100..1000 sweeps.  The points
-# are the grid store's array, not a copy, kept alive after it drops them.
+# (family, weight, chunk), which fix every input of the call: a chunk reads
+# m_0..m_{max(chunk)-1}, alike in every moment table, so sweeps over other
+# ranges share it.  Sized by weights, 8 MB for two n = 100..1000 sweeps.  The
+# points are the grid store's array, not a copy, kept alive after it drops them.
 _WEIGHTED_STORE_POINTS = 1 << 20
 _weighted_rule_cached = _Store(_WEIGHTED_STORE_POINTS, lambda chunk: len(chunk[1]))
 
@@ -228,11 +229,10 @@ _weighted_rule_cached = _Store(_WEIGHTED_STORE_POINTS, lambda chunk: len(chunk[1
 def _weighted_chunks(family: Family, ns: list[int], weight: WeightSpec) -> Iterator[tuple]:
     """(ns, nodes, weights, bounds) of each chunk of a sweep over checked ns:
     rule i at [bounds[i], bounds[i+1]) of the nodes and weights, all read-only."""
-    top = max(ns, default=1)
-    moments = moments_for(weight, top - 1).values
+    moments = moments_for(weight, max(ns, default=1) - 1).values
     for chunk in _chunks(ns, lambda n: n, _CHUNK_POINTS):
         [(nodes, weights, bounds)] = _weighted_rule_cached.get(
-            [(family, weight, top, tuple(chunk))],
+            [(family, weight, tuple(chunk))],
             lambda keys: {keys[0]: interp_rules(family, chunk, moments)})
         yield chunk, nodes, weights, bounds
 

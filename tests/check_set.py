@@ -33,8 +33,9 @@ The 382 commands:
   rules per chunk) and n = 16383..16386 (rules at and above one chunk of
   2^14 points), chunk boundaries the workloads do not reach (6);
 * `weight-sums` on Fejer-1 at an extended-route Jacobi weight with
-  n = 100..500, then n = 100..1000: the sweeps share their first chunks
-  but take moment tables of different buckets (2);
+  n = 100..500, then n = 100..1000: the sweeps take moment tables of
+  different buckets, and the second takes the chunks it shares with the
+  first from the store, and prints the bytes of a fresh build (2);
 * every command of one seed-1 pass of the three perfbench workloads (228);
 * `--format table` on every command but `gauss-open-problem`: `nodes`
   (once to stdout, once to --out), `weights`, `moments`, `integrate`,

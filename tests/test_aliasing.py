@@ -121,6 +121,18 @@ def test_alias_errors_build_their_rule_once(family, interp_rules_calls):
     assert max(rec.residual for rec in table) <= 1e-11
 
 
+def test_alias_errors_read_one_moment_table(monkeypatch):
+    # degrees 0..600 reach the buckets 64..1024, and every bucket's table
+    # gives the same M_k, so one table serves the whole call
+    weight = WeightSpec(WeightKind.LOGJACOBI, 2.062, 1.478)  # extended moment route
+    calls = []
+    monkeypatch.setattr(aliasing, "moments_for", lambda w, K: calls.append(K) or moments_for(w, K))
+    records = alias_errors(Family.FEJER2, 200, range(601), weight)
+    assert calls == [600]
+    for rec in records:
+        assert _bits(rec.leading) == _bits(abs(moments_for(weight, rec.j).values[rec.j])), rec.m
+
+
 def test_fejer1_zero_identity():
     # odd multiples of n alias onto T_n, which vanishes at the Fejer-1
     # nodes, so the rule returns 0 and the error is the bare moment

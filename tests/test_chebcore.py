@@ -313,7 +313,7 @@ def test_cubic_interpolation_is_exact():
     assert np.allclose(b, [0.0, 0.75, 0.0, 0.25], atol=1e-14)
 
 
-def test_interp_weights_input_validation():
+def test_interp_rules_input_validation_one_grid():
     with pytest.raises(ValueError):
         interp_rules(Family.FEJER1, [0], [])
     with pytest.raises(ValueError):
@@ -423,13 +423,13 @@ def test_chebyshev_T_rejects_nan():
         chebyshev_T(3, np.array([0.5, np.nan]))
 
 
-def test_interp_weights_reject_nan_moments():
+def test_interp_rules_reject_nan_moments():
     # returned all-NaN weights
     with pytest.raises(ValueError, match="finite"):
         interp_rules(Family.FEJER1, [3], [2.0, np.nan, 0.1])
 
 
-def test_interp_weights_reject_infinite_moments():
+def test_interp_rules_reject_infinite_moments():
     # returned +-inf weights
     with pytest.raises(ValueError, match="finite"):
         interp_rules(Family.CLENSHAW_CURTIS, [3], [2.0, np.inf, 0.1])

@@ -218,7 +218,7 @@ def test_symmetric_weight_kills_odd_moments(alpha):
 # --- solver routing -----------------------------------------------------------
 
 
-def test_unstable_pairs_use_banded_solver():
+def test_unstable_pairs_take_the_extended_route():
     for kind, alpha, beta, method in (
         ("jacobi", 0.5, -0.5, "extended"),
         ("jacobi", -0.5, 0.5, "extended"),
@@ -266,7 +266,7 @@ def test_forward_unstable_is_the_two_branch_test(alpha, beta, equal):
     assert moments._forward_unstable(alpha, beta) == _two_branch_forward_unstable(alpha, beta)
 
 
-def test_banded_solver_reports_small_residual():
+def test_extended_route_reports_a_small_error():
     assert moments_for(WeightSpec(WeightKind.JACOBI, 0.5, -0.5), 40).est_rel_error < 1e-12
     assert moments_for(WeightSpec(WeightKind.LOGJACOBI, 0.0, -0.5), 40).est_rel_error < 1e-10
 
@@ -391,14 +391,40 @@ def test_est_rel_error_bounds_the_table_error(kind, pair, mirrored):
     assert np.all(np.abs(table.values - ref) <= (table.est_rel_error + 2.0**-53) * np.abs(ref))
 
 
-def test_tables_are_consistent_across_lengths():
-    # cache bucketing must never change returned values
-    short = moments_for(WeightSpec(WeightKind.JACOBI, 0.5, -0.5), 40).values
-    long = moments_for(WeightSpec(WeightKind.JACOBI, 0.5, -0.5), 100).values
-    assert np.array_equal(short, long[:41])
-    short = moments_for(WeightSpec(WeightKind.LOGJACOBI, 0.2, -0.3), 40).values
-    long = moments_for(WeightSpec(WeightKind.LOGJACOBI, 0.2, -0.3), 300).values
-    assert np.array_equal(short, long[:41])
+@given(
+    kind=st.sampled_from(["jacobi", "logjacobi"]),
+    near=st.builds(lambda line, offset: line + offset, st.sampled_from(HALF_ODD),
+                   st.one_of(st.just(0.0), st.floats(-0.05, 0.05))),
+    other=st.floats(min_value=-0.9, max_value=60.0, exclude_min=True),
+    mirrored=st.booleans(),
+)
+@example(kind="jacobi", near=0.5, other=-0.5 + 1e-8, mirrored=False)
+@example(kind="logjacobi", near=1.478, other=2.062, mirrored=False)
+@settings(max_examples=30, deadline=None)
+def test_a_moment_does_not_depend_on_the_table_length(kind, near, other, mirrored):
+    # cache bucketing must never change returned values: the table of
+    # bucket 64 is the head of the tables of buckets 256 and 1024, bit for
+    # bit.  Both parameters half-odd is the next test's case.
+    alpha, beta = (near, other) if mirrored else (other, near)
+    assume(not alpha % 1.0 == beta % 1.0 == 0.5)
+    assume(moments.GUARD_DIGITS + math.ceil(moments._growth(alpha, beta, 1024)) <= 300)
+    w = WeightSpec(WeightKind(kind), alpha, beta)
+    short = moments_for(w, 64).values
+    for K in (256, 1024):
+        assert np.array_equal(short.view(np.int64), moments_for(w, K).values[:65].view(np.int64)), K
+
+
+TAIL_LINES = [k + 0.5 for k in range(-1, 10)]  # -1/2 .. 19/2
+
+
+@pytest.mark.parametrize("alpha, beta", [(a, b) for a in TAIL_LINES for b in TAIL_LINES if a != b])
+def test_half_odd_jacobi_tables_end_in_exact_zeros(alpha, beta):
+    # w = (1-x)^(alpha+1/2) (1+x)^(beta+1/2) / sqrt(1-x^2), a polynomial of
+    # degree alpha+beta+1 over the Chebyshev weight: M_k = +0.0 from k =
+    # alpha+beta+2 on, whatever the table's length
+    w = WeightSpec(WeightKind.JACOBI, alpha, beta)
+    for K in (64, 1024):
+        assert not np.any(moments_for(w, K).values[round(alpha + beta) + 2:].view(np.int64)), K
 
 
 # --- asymptotics ---------------------------------------------------------------

@@ -444,15 +444,19 @@ def test_weighted_store_serves_a_repeated_sweep_without_a_build(family, interp_r
 
 
 @pytest.mark.parametrize("family", CHEBYSHEV_FAMILIES)
-@pytest.mark.parametrize("his", [(500, 1000), (1000, 500)], ids=["up", "down"])
-def test_weighted_store_keys_chunks_by_the_sweeps_largest_n(family, his, interp_rules_calls):
-    # the two sweeps share their first chunks, but not their moment tables
+@pytest.mark.parametrize("his, builds", [((500, 1000), (8, 24)), ((1000, 500), (31, 1))],
+                         ids=["up", "down"])
+def test_weighted_store_shares_chunks_across_sweep_ranges(family, his, builds, interp_rules_calls):
+    # the two sweeps share their first seven chunks, though their moment
+    # tables come from different buckets: a chunk reads only the moments
+    # below its largest n, alike in every table, so the second sweep builds
+    # only the chunks the first did not
     weight = SWEEP_WEIGHTS[2]  # extended moment route
-    for hi in his:
+    for hi, expected in zip(his, builds):
         ns = list(range(100, hi + 1))
         before = len(interp_rules_calls)
         built = list(rules_for(family, ns, weight))
-        assert len(interp_rules_calls) - before == _sweep_chunks(ns)
+        assert len(interp_rules_calls) - before == expected
         assert [r.n for r in built] == ns
         for rule in built:
             _assert_weighted_per_n_bits(rule)
